@@ -18,7 +18,7 @@ from .bitcodec import (
     pad_to_length,
     recover_bits,
 )
-from .compress import Digest, digest, digest_oracle, parse_digest, render
+from .compress import Digest, digest, parse_digest, render
 from .coprime import CoprimeSequence
 from .errors import JunaError
 from .numtheory import ModContext, ceil_lg, is_probable_prime
@@ -50,7 +50,6 @@ __all__ = [
     "ceil_lg",
     "certify_collision",
     "digest",
-    "digest_oracle",
     "initialize",
     "is_probable_prime",
     "pad_to_length",

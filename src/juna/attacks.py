@@ -251,13 +251,8 @@ def brute_force_collision(pub: PublicParams, cap: int = COLLISION_CAP) -> list[C
             ls1 = bit_long_shadow(m1)
             ls2 = bit_long_shadow(m2)
             ydiff = tuple(a - b for a, b in zip(ls1, ls2))
-            num = 1
-            den = 1
-            for c, y in zip(pub.C, ydiff):
-                if y > 0:
-                    num = ctx.mod_mul(num, ctx.mod_pow(c, y))
-                elif y < 0:
-                    den = ctx.mod_mul(den, ctx.mod_pow(c, -y))
+            num = ctx.multi_pow((c, max(y, 0)) for c, y in zip(pub.C, ydiff))
+            den = ctx.multi_pow((c, max(-y, 0)) for c, y in zip(pub.C, ydiff))
             ok = num == den  # num * den^-1 == 1 without an inversion
             pairs.append(
                 CollisionPair(

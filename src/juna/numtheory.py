@@ -87,6 +87,21 @@ def is_probable_prime(x: int, rounds: int = 64) -> bool:
     return _miller_rabin(x, bases)
 
 
+def _square_multiply(base: int, exponent: int, M: int) -> tuple[int, int]:
+    """base**exponent mod M for base in [0, M) and exponent >= 1, with the
+    number of multiplications used: one squaring per bit after the leading
+    one, plus one multiplication per further set bit."""
+    result = base
+    muls = 0
+    for bit in bin(exponent)[3:]:
+        result = result * result % M
+        muls += 1
+        if bit == "1":
+            result = result * base % M
+            muls += 1
+    return result, muls
+
+
 class ModContext:
     """A prime modulus plus a counter of multiplications done through it.
 
@@ -133,24 +148,42 @@ class ModContext:
 
         Negative exponents go through the inverse of the base.
         """
-        M = self.M
         if exponent < 0:
             base = self.mod_inverse(base)
             exponent = -exponent
-        base %= M
-        if exponent == 0:
+        return self.multi_pow(((base, exponent),))
+
+    def multi_pow(self, pairs) -> int:
+        """Product of base**exponent mod M over (base, exponent >= 0) pairs.
+
+        Yao's method, the bucket step of Pippenger's algorithm: bases sharing
+        an exponent go into one bucket; walking the exponents down, a running
+        product of the buckets is raised to each gap to the next exponent and
+        folded into the result.  Ticks the exact count once per call.
+        """
+        M = self.M
+        buckets: dict[int, int] = {}
+        nonzero = 0
+        for base, e in pairs:
+            if e > 0:
+                b = buckets.get(e)
+                buckets[e] = base % M if b is None else b * base % M
+                nonzero += 1
+            elif e:
+                raise DomainError(f"multi_pow needs exponents >= 0, got {e}")
+        if not buckets:
             return 1
-        result = base
-        muls = 0
-        for bit in bin(exponent)[3:]:
-            result = result * result % M
-            muls += 1
-            if bit == "1":
-                result = result * base % M
-                muls += 1
-        if muls:
-            self._tick(muls)
-        return result
+        levels = sorted(buckets, reverse=True) + [0]
+        running = buckets[levels[0]]
+        acc, muls = _square_multiply(running, levels[0] - levels[1], M)
+        muls += nonzero - len(buckets)
+        for e, below in zip(levels[1:], levels[2:]):
+            running = running * buckets[e] % M
+            term, k = _square_multiply(running, e - below, M)
+            acc = acc * term % M
+            muls += k + 2
+        self._tick(muls)
+        return acc
 
     def mod_inverse(self, x: int) -> int:
         M = self.M

@@ -56,6 +56,8 @@ class PublicParams:
             raise DomainError(f"expected {self.n} initial values, got {len(self.C)}")
         if self.M < 3:
             raise DomainError("modulus too small")
+        if ceil_lg(self.M) > self.m:
+            raise DomainError(f"modulus needs {ceil_lg(self.M)} bits, m = {self.m}")
 
     def context(self) -> ModContext:
         """Shared counting context for this modulus (created lazily)."""
@@ -417,14 +419,9 @@ def certify_collision(
     kprime = sum(e * l for e, l in zip(ls2, priv.ell))
     diff = k - kprime
     lhs = ctx.mod_pow(priv.W, diff)
-    num = 1
-    den = 1
-    for a, e1, e2 in zip(priv.A, ls1, ls2):
-        d = e2 - e1
-        if d > 0:
-            num = ctx.mod_mul(num, ctx.mod_pow(a, d))
-        elif d < 0:
-            den = ctx.mod_mul(den, ctx.mod_pow(a, -d))
+    d = [e2 - e1 for e1, e2 in zip(ls1, ls2)]
+    num = ctx.multi_pow((a, max(x, 0)) for a, x in zip(priv.A, d))
+    den = ctx.multi_pow((a, max(-x, 0)) for a, x in zip(priv.A, d))
     rhs = ctx.mod_mul(num, ctx.mod_inverse(den))
     kappa = None
     psi = None
@@ -443,6 +440,8 @@ def certify_collision(
 # File format: line-oriented ASCII, LF, decimal integers.
 
 PUB_HEADER = "JUNA-PUB 1"
+# No field of either file can be wider than the largest modulus.
+MAX_INT_DIGITS = len(str(1 << MAX_M))
 PRIV_HEADER = "JUNA-PRIV 1"
 
 
@@ -495,7 +494,9 @@ class _LineReader:
         if k != key:
             raise ParseError(f"expected key {key!r}, got {k!r}", line=lineno)
         body = v[1:] if signed and v.startswith("-") else v
-        if not body.isdigit():
+        if len(body) > MAX_INT_DIGITS:
+            raise ParseError(f"{key!r} has over {MAX_INT_DIGITS} digits", line=lineno)
+        if not (body.isascii() and body.isdigit()):
             raise ParseError(f"bad integer {v!r} for key {key!r}", line=lineno)
         return int(v)
 

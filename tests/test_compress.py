@@ -1,15 +1,52 @@
 import random
+from collections import Counter
 
 import pytest
 
 from juna.bitcodec import BitString, bit_long_shadow
-from juna.compress import Digest, digest, digest_oracle, parse_digest, render
+from juna.compress import Digest, digest, parse_digest, render
 from juna.errors import (
     DomainError,
     LengthMismatchError,
     ParseError,
     ZeroMessageError,
 )
+from juna.params import PublicParams, initialize
+
+from compress_oracle import digest_oracle
+
+
+def expected_muls(msg: BitString) -> int:
+    """Cost of the bucketed multi-exponentiation, from the long shadows.
+
+    c nonzero long shadows over k distinct values cost c - k bucket
+    products, k - 1 running-product and k - 1 result products, plus a
+    square-and-multiply for each gap g between consecutive values (taken
+    down to 0): bit_length(g) - 1 squarings and popcount(g) - 1 products.
+    """
+    counts = Counter(e for e in bit_long_shadow(msg).values if e)
+    levels = sorted(counts, reverse=True)
+    total = sum(counts.values()) + len(levels) - 2
+    for e, below in zip(levels, levels[1:] + [0]):
+        gap = e - below
+        total += gap.bit_length() - 1 + bin(gap).count("1") - 1
+    return total
+
+
+def adversarial_messages(n: int) -> list[str]:
+    """Bit patterns at the edges of the long-shadow range."""
+    half = n // 2
+    return [
+        "1" + "0" * (n - 1),  # single 1-bit, first position
+        "0" * half + "1" + "0" * (half - 1),  # single 1-bit, middle
+        "0" * (n - 1) + "1",  # single 1-bit, last position
+        "1" * n,  # all ones: every long shadow is 2
+        "1" * (n // 3) + "0" + "1" * (n - n // 3 - 1),  # all ones but one bit
+        "1" * (n - 1) + "0",  # costs n + 1, the exhaustive worst case
+        "01" * half,
+        "0011" * (n // 4),
+        "1" + "0" * (3 * n // 4) + "1" * (n // 4 - 1),  # one long zero run
+    ]
 
 
 def test_tiny_digest_hand_checked(tiny_pub):
@@ -51,9 +88,42 @@ def test_mulcount_bound(toy_pub, mid_pub):
             before = ctx.mulcount
             digest(pub, msg, ctx)
             used = ctx.mulcount - before
-            expected = sum(bit_long_shadow(msg).values) - 1
-            assert used == expected
-            assert used <= 2 * pub.n - 1
+            assert used == expected_muls(msg)
+            assert used <= 2 * pub.n
+
+
+@pytest.fixture(scope="module")
+def wide_pub(reference_pub):
+    """n = 4096 over the reference modulus; the count depends only on the
+    long shadows, so the initial values can be any residues."""
+    rng = random.Random(4096)
+    C = tuple(rng.randrange(2, reference_pub.M) for _ in range(4096))
+    return PublicParams(m=reference_pub.m, n=4096, M=reference_pub.M, C=C)
+
+
+def test_mulcount_adversarial_messages(reference_pub, wide_pub):
+    for pub in (reference_pub, wide_pub):
+        ctx = pub.context()
+        for i, text in enumerate(adversarial_messages(pub.n)):
+            msg = BitString.from_string(text)
+            before = ctx.mulcount
+            d = digest(pub, msg, ctx)
+            used = ctx.mulcount - before
+            assert d == digest_oracle(pub, msg), (pub.n, i)
+            assert used == expected_muls(msg), (pub.n, i)
+            assert used <= 2 * pub.n, (pub.n, i)
+
+
+def test_digest_exhaustive_at_toy_scale():
+    for n in range(4, 15, 2):
+        pub, _ = initialize(m=12, n=n, P=1201, nbar=n, rng=random.Random(n))
+        ctx = pub.context()
+        for v in range(1, 1 << n):
+            msg = BitString.from_int(v, n)
+            before = ctx.mulcount
+            d = digest(pub, msg, ctx)
+            assert ctx.mulcount - before <= n + 1, (n, v)
+            assert d == digest_oracle(pub, msg), (n, v)
 
 
 def test_digest_rejects_bad_messages(toy_pub):
@@ -102,9 +172,7 @@ def test_mulcount_survives_concurrent_hashing(toy_pub):
         [BitString.from_int(rng.randrange(1, 256), 8) for _ in range(100)]
         for _ in range(4)
     ]
-    expected = sum(
-        sum(bit_long_shadow(m).values) - 1 for batch in batches for m in batch
-    )
+    expected = sum(expected_muls(m) for batch in batches for m in batch)
     before = ctx.mulcount
     threads = [
         threading.Thread(target=lambda b=b: [digest(toy_pub, m, ctx) for m in b])

@@ -80,6 +80,25 @@ def test_mod_pow_negative_exponent():
     assert ctx.mod_mul(ctx.mod_pow(5, -3), ctx.mod_pow(5, 3)) == 1
 
 
+def test_multi_pow_agrees_with_pow_and_counts_once():
+    ctx = ModContext(1009)
+    rng = random.Random(19)
+    for _ in range(300):
+        pairs = [
+            (rng.randrange(1, 3000), rng.randrange(0, 40))
+            for _ in range(rng.randrange(0, 12))
+        ]
+        expected = 1
+        for base, e in pairs:
+            expected = expected * pow(base, e, 1009) % 1009
+        before = ctx.mulcount
+        assert ctx.multi_pow(pairs) == expected
+        # never more than one product per unit of exponent
+        assert ctx.mulcount - before <= max(sum(e for _, e in pairs) - 1, 0)
+    with pytest.raises(DomainError):
+        ctx.multi_pow([(3, 2), (5, -1)])
+
+
 def test_mod_inverse_errors():
     ctx = ModContext(23, q=11)
     with pytest.raises(NotInvertibleError):

@@ -180,6 +180,22 @@ def test_parse_errors():
         parse(good.replace("m=7", "m=seven"))
 
 
+def test_parse_rejects_oversized_and_non_ascii_integers():
+    # 5000 digits pass Python's own 4300-digit conversion limit
+    with pytest.raises(ParseError) as err:
+        parse(f"{PUB_HEADER}\nm=80\nn=4\nM={'9' * 5000}\n")
+    assert err.value.line == 4
+    with pytest.raises(ParseError):
+        parse(f"{PUB_HEADER}\nm=80\nn=4\nM=\u00b2\n")  # superscript two
+
+
+def test_public_params_reject_modulus_wider_than_m():
+    with pytest.raises(DomainError):
+        PublicParams(m=12, n=4, M=2**61 - 1, C=(2, 3, 5, 7))
+    with pytest.raises(ParseError):
+        parse(serialize(PublicParams(m=7, n=4, M=101, C=(2, 3, 5, 7))).replace("m=7", "m=6"))
+
+
 def test_parse_error_carries_line_number():
     text = f"{PUB_HEADER}\nm=7\nn=four\n"
     with pytest.raises(ParseError) as err:

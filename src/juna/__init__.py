@@ -10,11 +10,9 @@ and an executable cryptanalysis harness.
 
 from .bitcodec import (
     BitString,
-    LongShadowString,
     ShadowString,
     bit_long_shadow,
     bit_shadow,
-    bit_shadow_streaming,
     pad_to_length,
     recover_bits,
 )
@@ -38,14 +36,12 @@ __all__ = [
     "CoprimeSequence",
     "Digest",
     "JunaError",
-    "LongShadowString",
     "ModContext",
     "PrivateParams",
     "PublicParams",
     "ShadowString",
     "bit_long_shadow",
     "bit_shadow",
-    "bit_shadow_streaming",
     "bundled_public_params",
     "ceil_lg",
     "certify_collision",

@@ -155,14 +155,13 @@ class BirthdayStats:
 
 
 def birthday_search(
-    pub: PublicParams, mask_bits: int, budget: int, seed: int, workers: int = 1
+    pub: PublicParams, mask_bits: int, budget: int, seed: int
 ) -> BirthdayStats:
     """Draw random nonzero messages until two share a truncated digest.
 
     Digests are truncated to their low mask_bits bits purely so that
-    collisions become reachable in a test run; worker w uses the rng
-    seeded with seed + w, workers advance in lockstep, and the reported
-    trial count sums over all workers.
+    collisions become reachable in a test run; messages come from the
+    rng seeded with seed.
     """
     import random
 
@@ -170,40 +169,30 @@ def birthday_search(
         raise DomainError(f"mask_bits must lie in [1, {pub.m}]")
     if budget < 1:
         raise DomainError("budget must be at least 1")
-    if workers < 1:
-        raise DomainError("workers must be at least 1")
     n = pub.n
     mask = (1 << mask_bits) - 1
-    rngs = [random.Random(seed + w) for w in range(workers)]
-    seen: list[dict[int, int]] = [{} for _ in range(workers)]
+    rng = random.Random(seed)
+    seen: dict[int, int] = {}
     threshold = BIRTHDAY_COEFFICIENT * 2 ** (mask_bits / 2)
 
-    trials = 0
-    while trials < budget:
-        for w in range(workers):
-            if trials >= budget:
-                break
-            rng = rngs[w]
-            v = 0
-            while v == 0:
-                v = rng.getrandbits(n)
-            msg = BitString.from_int(v, n)
-            t = digest(pub, msg).value & mask
-            trials += 1
-            prior = seen[w].get(t)
-            if prior is None:
-                seen[w][t] = v
-            elif prior != v:
-                return BirthdayStats(
-                    trials=trials,
-                    collision=(BitString.from_int(prior, n), msg),
-                    threshold=threshold,
-                    seed=seed,
-                    mask_bits=mask_bits,
-                    collision_value=t,
-                )
+    for trials in range(1, budget + 1):
+        v = 0
+        while v == 0:
+            v = rng.getrandbits(n)
+        msg = BitString.from_int(v, n)
+        t = digest(pub, msg).value & mask
+        prior = seen.setdefault(t, v)
+        if prior != v:
+            return BirthdayStats(
+                trials=trials,
+                collision=(BitString.from_int(prior, n), msg),
+                threshold=threshold,
+                seed=seed,
+                mask_bits=mask_bits,
+                collision_value=t,
+            )
     return BirthdayStats(
-        trials=trials,
+        trials=budget,
         collision=None,
         threshold=threshold,
         seed=seed,
@@ -250,7 +239,7 @@ def brute_force_collision(pub: PublicParams, cap: int = COLLISION_CAP) -> list[C
             m2 = BitString.from_int(v2, n)
             ls1 = bit_long_shadow(m1)
             ls2 = bit_long_shadow(m2)
-            ydiff = tuple(a - b for a, b in zip(ls1, ls2))
+            ydiff = tuple(a - b for a, b in zip(ls1.values, ls2.values))
             num = ctx.multi_pow((c, max(y, 0)) for c, y in zip(pub.C, ydiff))
             den = ctx.multi_pow((c, max(-y, 0)) for c, y in zip(pub.C, ydiff))
             ok = num == den  # num * den^-1 == 1 without an inversion

@@ -12,164 +12,142 @@ something between n and 2n.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import lshift
+from string import hexdigits
 
 from .errors import (
+    DomainError,
     InconsistentEncodingError,
     LengthMismatchError,
     OddLengthError,
+    ParseError,
     ZeroMessageError,
 )
 
 MIN_BITS = 4  # relaxed floor so exhaustive tests stay feasible
-PRODUCTION_MIN_BITS = 80
 MAX_BITS = 4096
+
+_ZERO_ONE = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def leading_bits(data: str | bytes, take: int | None = None) -> str:
+    """The first take bits (all by default) of hex text or raw bytes.
+
+    Hex text is stripped of surrounding whitespace and must then be bare
+    digits: no sign, prefix or separator.  Bits are read most significant
+    first and returned as 0/1 text.
+    """
+    if isinstance(data, str):
+        text = data.strip()
+        if not text or text.strip(hexdigits):
+            raise ParseError(f"not a hex string: {data!r}")
+        value, total = int(text, 16), 4 * len(text)
+    else:
+        value, total = int.from_bytes(data, "big"), 8 * len(data)
+    take = total if take is None else take
+    if not 0 < take <= total:
+        raise LengthMismatchError(f"asked for {take} bits, input has {total}")
+    return format(value >> (total - take), f"0{take}b")
 
 
 @dataclass(frozen=True)
 class BitString:
-    """An n-bit message, first element = most significant bit."""
+    """An n-bit message held as one int; the first bit is the most significant."""
 
-    bits: tuple[int, ...]
+    value: int
+    n: int
 
     def __post_init__(self):
-        n = len(self.bits)
-        if n % 2:
-            raise OddLengthError(f"bit length {n} is odd")
-        if not MIN_BITS <= n <= MAX_BITS:
+        if self.n % 2:
+            raise OddLengthError(f"bit length {self.n} is odd")
+        if not MIN_BITS <= self.n <= MAX_BITS:
             raise LengthMismatchError(
-                f"bit length {n} outside [{MIN_BITS}, {MAX_BITS}]"
+                f"bit length {self.n} outside [{MIN_BITS}, {MAX_BITS}]"
             )
-        if not set(self.bits) <= {0, 1}:
-            raise ValueError("bits must be 0 or 1")
+        if self.value < 0 or self.value >> self.n:
+            raise DomainError(f"{self.value} does not fit in {self.n} bits")
+
+    @classmethod
+    def from_int(cls, value: int, n: int) -> "BitString":
+        return cls(value, n)
 
     @classmethod
     def from_string(cls, text: str) -> "BitString":
         if not text or text.strip("01"):
-            raise ValueError(f"not a bit string: {text!r}")
-        return cls(tuple(int(ch) for ch in text))
-
-    @classmethod
-    def from_int(cls, value: int, n: int) -> "BitString":
-        if value < 0 or value >> n:
-            raise ValueError(f"{value} does not fit in {n} bits")
-        return cls(tuple(map(int, format(value, f"0{n}b"))))
+            raise ParseError(f"not a bit string: {text!r}")
+        return cls(int(text, 2), len(text))
 
     @classmethod
     def from_hex(cls, text: str, n: int) -> "BitString":
         """First n bits of the hex digits, most significant bit first."""
-        text = text.strip()
-        try:
-            value = int(text, 16)
-        except ValueError:
-            raise ValueError(f"not a hex string: {text!r}") from None
-        total = 4 * len(text)
-        if n > total:
-            raise LengthMismatchError(f"asked for {n} bits, {text!r} has {total}")
-        return cls.from_int(value >> (total - n), n)
+        return cls.from_string(leading_bits(text, n))
 
-    @property
-    def n(self) -> int:
-        return len(self.bits)
+    @classmethod
+    def from_bytes(cls, data: bytes, n: int) -> "BitString":
+        """First n bits of the bytes, most significant bit first."""
+        return cls.from_string(leading_bits(data, n))
 
     def is_zero(self) -> bool:
-        return not any(self.bits)
-
-    def to_int(self) -> int:
-        v = 0
-        for b in self.bits:
-            v = (v << 1) | b
-        return v
+        return not self.value
 
     def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits)
+        return format(self.value, f"0{self.n}b")
 
     def __len__(self):
-        return len(self.bits)
-
-    def __iter__(self):
-        return iter(self.bits)
-
-    def __getitem__(self, i):
-        return self.bits[i]
-
-
-def _render_counts(values: tuple[int, ...]) -> str:
-    if all(v <= 9 for v in values):
-        return "".join(str(v) for v in values)
-    return " ".join(str(v) for v in values)
+        return self.n
 
 
 @dataclass(frozen=True)
 class ShadowString:
-    """Shadow counts of a nonzero bit string; entries sum to n exactly."""
+    """Shadow or long-shadow counts of a nonzero n-bit string.
+
+    Entries lie in [0, n] and sum into [n, 2n]: plain shadows sum to n
+    exactly, and long shadows add each doubled entry once more.
+    """
 
     values: tuple[int, ...]
 
     def __post_init__(self):
         n = len(self.values)
-        if not self.values or min(self.values) < 0 or max(self.values) > n:
-            raise ValueError("shadow entries must lie in [0, n]")
-        if sum(self.values) != n:
-            raise ValueError(f"shadow entries must sum to {n}")
+        distinct = set(self.values)  # few distinct counts: cheaper than min/max over all
+        if not distinct or min(distinct) < 0 or max(distinct) > n:
+            raise DomainError("shadow entries must lie in [0, n]")
+        if not n <= sum(self.values) <= 2 * n:
+            raise DomainError(f"shadow entries must sum into [{n}, {2 * n}]")
 
     @classmethod
     def from_string(cls, text: str) -> "ShadowString":
-        return cls(tuple(int(ch) for ch in text))
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
+        """Parse either form __str__ renders: one digit per entry, or
+        space-separated entries."""
+        tokens = text.split(" ") if " " in text else list(text)
+        width = len(str(len(tokens)))  # no entry can exceed n
+        if not text or any(
+            not (tok.isascii() and tok.isdigit()) or len(tok) > width for tok in tokens
+        ):
+            raise ParseError(f"not a shadow string: {text!r}")
+        return cls(tuple(map(int, tokens)))
 
     def __str__(self) -> str:
-        return _render_counts(self.values)
+        sep = "" if max(self.values) <= 9 else " "
+        return sep.join(map(str, self.values))
 
     def __len__(self):
         return len(self.values)
 
-    def __iter__(self):
-        return iter(self.values)
 
-    def __getitem__(self, i):
-        return self.values[i]
-
-
-@dataclass(frozen=True)
-class LongShadowString:
-    """Long-shadow counts; entries sum to something in [n, 2n]."""
-
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        n = len(self.values)
-        if not self.values or min(self.values) < 0 or max(self.values) > n:
-            raise ValueError("long-shadow entries must lie in [0, n]")
-        if not n <= sum(self.values) <= 2 * n:
-            raise ValueError(f"long-shadow entries must sum into [{n}, {2 * n}]")
-
-    @classmethod
-    def from_string(cls, text: str) -> "LongShadowString":
-        return cls(tuple(int(ch) for ch in text))
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
-    def __str__(self) -> str:
-        return _render_counts(self.values)
-
-    def __len__(self):
-        return len(self.values)
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __getitem__(self, i):
-        return self.values[i]
-
-
-def _require_nonzero(msg: BitString):
-    if msg.is_zero():
+def _shadows(bits: str) -> list[int]:
+    # runs[k] is the zero run before the (k+1)-th 1-bit, runs[-1] the tail
+    runs = bits.split("1")
+    if len(runs) == 1:
         raise ZeroMessageError("message must contain at least one 1-bit")
+    out = [0] * len(bits)
+    i = -1
+    for run in runs[:-1]:
+        step = len(run) + 1
+        i += step
+        out[i] = step
+    out[len(runs[0])] += len(runs[-1])
+    return out
 
 
 def bit_shadow(msg: BitString) -> ShadowString:
@@ -180,76 +158,36 @@ def bit_shadow(msg: BitString) -> ShadowString:
     run of zeros after the rightmost 1-bit, so every zero is charged to
     exactly one 1-bit and the counts sum to n.
     """
-    _require_nonzero(msg)
-    bits = msg.bits
-    n = len(bits)
-    out = [0] * n
-    prev = -1
-    first = None
-    for i, b in enumerate(bits):
-        if b:
-            out[i] = i - prev
-            prev = i
-            if first is None:
-                first = i
-    out[first] += n - 1 - prev
-    return ShadowString(tuple(out))
+    return ShadowString(tuple(_shadows(str(msg))))
 
 
-def bit_shadow_streaming(msg: BitString) -> ShadowString:
-    """Shadow encoding as the single left-to-right pass of the compressor.
-
-    A running zero counter is flushed into each 1-bit; the position of
-    the leftmost 1-bit is remembered and the trailing zero run is added
-    there in a final fix-up step.
-    """
-    _require_nonzero(msg)
-    out = []
-    k = 0
-    sbar = None
-    for i, b in enumerate(msg.bits, start=1):
-        if b == 0:
-            k += 1
-            out.append(0)
-        else:
-            if i == k + 1:
-                sbar = i
-            out.append(k + 1)
-            k = 0
-    out[sbar - 1] += k
-    return ShadowString(tuple(out))
-
-
-def partner_index(i: int, n: int) -> int:
-    """0-based index of the diametrically opposite bit."""
-    return i + n // 2 if i < n // 2 else i - n // 2
-
-
-def bit_long_shadow(msg: BitString, shadows: ShadowString | None = None) -> LongShadowString:
+def bit_long_shadow(msg: BitString, shadows: ShadowString | None = None) -> ShadowString:
     """Long-shadow encoding: each shadow doubles when the bit halfway
     across the string is set.
 
     A caller already holding the shadow string can pass it in to skip
     recomputing it.
     """
+    s = str(msg)
     if shadows is None:
-        shadows = bit_shadow(msg)
-    elif len(shadows) != len(msg):
+        values = _shadows(s)
+    elif len(shadows) != len(s):
         raise LengthMismatchError("shadow string does not match the message")
-    bits = msg.bits
-    half = len(bits) // 2
+    else:
+        values = shadows.values
+    half = len(s) // 2
     # rotating by half lines each value up with its partner bit
-    out = tuple(v << b for v, b in zip(shadows.values, bits[half:] + bits[:half]))
-    return LongShadowString(out)
+    partners = (s[half:] + s[:half]).encode().translate(_ZERO_ONE)
+    return ShadowString(tuple(map(lshift, values, partners)))
 
 
-def recover_bits(ls: LongShadowString) -> BitString:
+def recover_bits(ls: ShadowString) -> BitString:
     """Invert the long-shadow encoding via its zero/nonzero mask.
 
     A position is a 1-bit exactly when its long shadow is nonzero.  The
     recovered string is re-encoded as a consistency check.
     """
-    candidate = BitString(tuple(1 if v else 0 for v in ls.values))
+    candidate = BitString.from_string("".join("1" if v else "0" for v in ls.values))
     if bit_long_shadow(candidate) != ls:
         raise InconsistentEncodingError(
             "no bit string produces this long-shadow string"
@@ -264,8 +202,6 @@ def pad_to_length(bits: str, n: int) -> BitString:
     defined only on exactly-n-bit messages, so padded use must be
     flagged by the caller.
     """
-    if bits.strip("01"):
-        raise ValueError(f"not a bit string: {bits!r}")
     if len(bits) >= n:
         raise LengthMismatchError(
             f"cannot pad {len(bits)} bits to {n}; input must be shorter"

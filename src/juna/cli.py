@@ -15,7 +15,7 @@ import sys
 import time
 
 from . import attacks, chp, compress, params, reform
-from .bitcodec import BitString, pad_to_length
+from .bitcodec import MAX_BITS, BitString, leading_bits, pad_to_length
 from .errors import JunaError, ParseError, SearchExhaustedError
 
 
@@ -79,30 +79,22 @@ def _load_priv(path) -> params.PrivateParams:
 def _message_from_args(args, n: int) -> tuple[BitString, bool]:
     if args.msg_bits is not None:
         text = args.msg_bits
-        if text.strip("01"):
-            raise ParseError(f"not a bit string: {text!r}")
     elif args.msg_hex is not None:
         if args.bits is None:
             raise _UsageError("--msg-hex needs --bits")
-        hx = args.msg_hex.strip()
-        try:
-            value = int(hx, 16)
-        except ValueError:
-            raise ParseError(f"not a hex string: {hx!r}") from None
-        total = 4 * len(hx)
-        if args.bits > total:
-            raise ParseError(f"asked for {args.bits} bits, hex has {total}")
-        text = format(value, f"0{total}b")[: args.bits]
+        text = leading_bits(args.msg_hex, args.bits)
     else:
+        if args.bits is None:
+            limit = MAX_BITS // 8 + 1
+        elif 0 < args.bits <= MAX_BITS:
+            limit = (args.bits + 7) // 8
+        else:
+            raise ParseError(f"--bits must lie in [1, {MAX_BITS}]")
         with open(args.msg_file, "rb") as fh:
-            data = fh.read()
-        total = 8 * len(data)
-        take = args.bits if args.bits is not None else total
-        if take > total:
-            raise ParseError(f"asked for {take} bits, file has {total}")
-        if take == 0:
-            raise ParseError("empty message")
-        text = format(int.from_bytes(data, "big"), f"0{total}b")[:take]
+            data = fh.read(limit)
+        if 8 * len(data) > MAX_BITS:
+            raise ParseError(f"message file holds more than {MAX_BITS} bits")
+        text = leading_bits(data, args.bits)
     if args.pad and len(text) < n:
         return pad_to_length(text, n), True
     return BitString.from_string(text), False
@@ -221,8 +213,7 @@ def cmd_attack_birthday(args) -> int:
     seed = _resolve_seed(args)
     pub = _load_pub(args.pub)
     stats = attacks.birthday_search(
-        pub, mask_bits=args.mask_bits, budget=args.budget, seed=seed,
-        workers=args.workers,
+        pub, mask_bits=args.mask_bits, budget=args.budget, seed=seed
     )
     _echo("note", "digest truncated to mask-bits: testing aid, not a mode of the hash")
     _echo("mask_bits", stats.mask_bits)
@@ -368,7 +359,6 @@ def build_parser() -> _Parser:
     q.add_argument("--mask-bits", type=int, required=True, dest="mask_bits")
     q.add_argument("--budget", type=int, required=True)
     q.add_argument("--seed", type=int)
-    q.add_argument("--workers", type=int, default=1)
     q.add_argument("--csv")
     q.set_defaults(func=cmd_attack_birthday)
     q = atk.add_parser("brute")

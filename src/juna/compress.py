@@ -8,6 +8,7 @@ multi-exponentiation (ModContext.multi_pow).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from string import hexdigits
 
 from .bitcodec import BitString, bit_long_shadow
 from .errors import DomainError, LengthMismatchError, ParseError
@@ -67,10 +68,9 @@ def parse_digest(text: str, m: int) -> Digest:
     text = text.strip()
     if len(text) != width:
         raise ParseError(f"digest text must be {width} hex digits, got {len(text)}")
-    try:
-        value = int(text, 16)
-    except ValueError:
-        raise ParseError(f"not hex: {text!r}") from None
+    if text.strip(hexdigits):
+        raise ParseError(f"not hex: {text!r}")
+    value = int(text, 16)
     if value < 1 or value >> m:
         raise ParseError(f"digest value {value} outside [1, 2^{m})")
     return Digest(value=value, m=m)

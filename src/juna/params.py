@@ -415,11 +415,11 @@ def certify_collision(
         raise LengthMismatchError("messages must have exactly n bits")
     ls1 = bit_long_shadow(msg1)
     ls2 = bit_long_shadow(msg2)
-    k = sum(e * l for e, l in zip(ls1, priv.ell))
-    kprime = sum(e * l for e, l in zip(ls2, priv.ell))
+    k = sum(e * l for e, l in zip(ls1.values, priv.ell))
+    kprime = sum(e * l for e, l in zip(ls2.values, priv.ell))
     diff = k - kprime
     lhs = ctx.mod_pow(priv.W, diff)
-    d = [e2 - e1 for e1, e2 in zip(ls1, ls2)]
+    d = [e2 - e1 for e1, e2 in zip(ls1.values, ls2.values)]
     num = ctx.multi_pow((a, max(x, 0)) for a, x in zip(priv.A, d))
     den = ctx.multi_pow((a, max(-x, 0)) for a, x in zip(priv.A, d))
     rhs = ctx.mod_mul(num, ctx.mod_inverse(den))

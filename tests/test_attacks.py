@@ -108,11 +108,6 @@ def test_birthday_reproducible_and_mask_checked(mid_pub):
         birthday_search(mid_pub, mask_bits=4, budget=0, seed=0)
 
 
-def test_birthday_workers_share_budget(mid_pub):
-    stats = birthday_search(mid_pub, mask_bits=16, budget=10, seed=3, workers=4)
-    assert stats.trials == 10
-
-
 def test_birthday_full_width_at_toy_scale(toy_pub):
     # with no truncation the search can only stop on a genuine digest
     # collision, which toy parameters make reachable by pigeonhole

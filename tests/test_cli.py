@@ -126,6 +126,55 @@ def test_hash_msg_file(toy_files, tmp_path, capsys):
     assert vals["digest"] == digest(pub, BitString.from_string("01010110")).hex
 
 
+@pytest.mark.parametrize("hx", ["0x" + REFERENCE_MSG_HEX, REFERENCE_MSG_HEX[:32] + "_" + REFERENCE_MSG_HEX[32:]])
+def test_hash_hex_with_prefix_or_separator_fails(pub_file, hx, capsys):
+    rc = main(["hash", "--pub", pub_file, "--msg-hex", hx, "--bits", "256"])
+    assert rc == 2
+    assert "not a hex string" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("hx", ["f_f", "+ff", "-ff", "0xff", ""])
+def test_hash_hex_short_forms_fail(toy_files, hx, capsys):
+    pub_path, _ = toy_files
+    # the = form lets argparse take "-ff" as a value, not an option
+    rc = main(["hash", "--pub", pub_path, f"--msg-hex={hx}", "--bits", "8"])
+    assert rc == 2
+    capsys.readouterr()
+
+
+def test_hash_msg_file_reads_only_the_bits_asked_for(toy_files, tmp_path, capsys):
+    pub_path, _ = toy_files
+    msg = tmp_path / "big.bin"
+    msg.write_bytes(b"\x56" + b"\xff" * ((1 << 20) - 1))
+    rc = main(["hash", "--pub", pub_path, "--msg-file", str(msg), "--bits", "8"])
+    assert rc == 0
+    from juna.params import load
+
+    pub = load(pub_path)
+    assert grab(capsys)["digest"] == digest(pub, BitString.from_string("01010110")).hex
+
+
+def test_hash_msg_file_over_max_bits_fails(toy_files, tmp_path, capsys):
+    pub_path, _ = toy_files
+    msg = tmp_path / "long.bin"
+    msg.write_bytes(b"\x01" * 513)
+    assert main(["hash", "--pub", pub_path, "--msg-file", str(msg)]) == 2
+    assert main(["hash", "--pub", pub_path, "--msg-file", str(msg), "--bits", "4104"]) == 2
+    assert "4096 bits" in capsys.readouterr().err
+
+
+def test_hash_pad_after_decoding_hex(toy_files, capsys):
+    pub_path, _ = toy_files
+    rc = main(["hash", "--pub", pub_path, "--msg-hex", "bf", "--bits", "3", "--pad"])
+    assert rc == 0
+    vals = grab(capsys)
+    assert vals["padded"] == "true"
+    from juna.params import load
+
+    pub = load(pub_path)
+    assert vals["digest"] == digest(pub, BitString.from_string("10110000")).hex
+
+
 def test_hash_wrong_length_fails(toy_files, capsys):
     pub_path, _ = toy_files
     rc = main(["hash", "--pub", pub_path, "--msg-bits", "1111"])
@@ -217,14 +266,6 @@ def test_attack_birthday(toy_files, tmp_path, capsys):
     assert "truncated" in vals["note"]
     assert int(vals["trials"]) >= 1
     assert csv.read_text().startswith("seed,mask_bits,budget,trials,found")
-    rc = main(
-        [
-            "attack", "birthday", "--pub", pub_path, "--mask-bits", "6",
-            "--budget", "200", "--seed", "4", "--workers", "2",
-        ]
-    )
-    assert rc == 0
-    capsys.readouterr()
 
 
 def test_attack_brute_with_certificates(toy_files, capsys):

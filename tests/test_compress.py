@@ -160,6 +160,9 @@ def test_parse_digest_errors():
         parse_digest("0", 12)  # wrong width
     with pytest.raises(ParseError):
         parse_digest("000", 12)  # zero value out of range
+    for text in ("0x1", "+01", "1_1", "-01"):
+        with pytest.raises(ParseError):
+            parse_digest(text, 12)  # right width, but not bare hex digits
 
 
 def test_mulcount_survives_concurrent_hashing(toy_pub):

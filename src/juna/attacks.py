@@ -18,7 +18,7 @@ from itertools import combinations
 
 from .bitcodec import BitString, bit_long_shadow
 from .compress import digest
-from .errors import DomainError, InstanceTooLargeError
+from .errors import DomainError, InstanceTooLargeError, ParseError
 from .numtheory import ceil_lg
 from .params import PublicParams
 
@@ -27,6 +27,11 @@ BRUTE_CAP = 24
 COLLISION_CAP = 12
 
 BIRTHDAY_COEFFICIENT = 1.1774  # sqrt(2 ln 2), inputs for a 50% collision
+
+# Caps on an instance file; both lie far above any instance the solvers
+# take, and the digit cap below Python's 4300-digit int() limit.
+MAX_INSTANCE_BYTES = 1 << 16
+MAX_INSTANCE_DIGITS = 1000
 
 
 @dataclass(frozen=True)
@@ -43,6 +48,46 @@ class SubsetSumInstance:
     @property
     def n(self) -> int:
         return len(self.c)
+
+
+def parse_instance(data: bytes) -> SubsetSumInstance:
+    """Read instance text: one s=<int> line and one c=<int> line per weight.
+
+    Blank lines and surrounding whitespace are skipped.  Any other line,
+    a non-ASCII byte, an integer over MAX_INSTANCE_DIGITS digits, more
+    than MAX_INSTANCE_BYTES bytes or a zero weight raises ParseError.
+    """
+    if len(data) > MAX_INSTANCE_BYTES:
+        raise ParseError(f"instance is over {MAX_INSTANCE_BYTES} bytes")
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"non-ASCII byte at offset {exc.start}") from exc
+    weights = []
+    target = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        key, _, value = line.partition("=")
+        if key not in ("c", "s") or not value.isdigit():
+            raise ParseError(f"expected c=<int> or s=<int>, got {line!r}", line=lineno)
+        if len(value) > MAX_INSTANCE_DIGITS:
+            raise ParseError(f"over {MAX_INSTANCE_DIGITS} digits", line=lineno)
+        if key == "c":
+            weights.append(int(value))
+        elif target is not None:
+            raise ParseError("duplicate target line", line=lineno)
+        else:
+            target = int(value)
+    if target is None:
+        raise ParseError("missing s=<int> line")
+    if not weights:
+        raise ParseError("missing c=<int> lines")
+    try:
+        return SubsetSumInstance(c=tuple(weights), s=target)
+    except DomainError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def mitm_subset_sum(

@@ -38,30 +38,6 @@ def _resolve_seed(args) -> int:
     return seed
 
 
-def _read_instance(path) -> attacks.SubsetSumInstance:
-    weights = []
-    target = None
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            key, _, value = line.partition("=")
-            if key == "c" and value.isdigit():
-                weights.append(int(value))
-            elif key == "s" and value.isdigit():
-                if target is not None:
-                    raise ParseError("duplicate target line", line=lineno)
-                target = int(value)
-            else:
-                raise ParseError(f"expected c=<int> or s=<int>, got {line!r}", line=lineno)
-    if target is None:
-        raise ParseError("missing s=<int> line")
-    if not weights:
-        raise ParseError("missing c=<int> lines")
-    return attacks.SubsetSumInstance(c=tuple(weights), s=target)
-
-
 def _load_pub(path) -> params.PublicParams:
     obj = params.load(path)
     if not isinstance(obj, params.PublicParams):
@@ -200,7 +176,8 @@ def cmd_reform(args) -> int:
 
 
 def cmd_attack_mitm(args) -> int:
-    inst = _read_instance(args.instance)
+    with open(args.instance, "rb") as fh:
+        inst = attacks.parse_instance(fh.read(attacks.MAX_INSTANCE_BYTES + 1))
     bits = attacks.mitm_subset_sum(inst)
     if bits is None:
         _echo("solution", "none")

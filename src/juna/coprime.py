@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Sequence
 
-from .errors import InsufficientPrimesError, LengthMismatchError
+from .errors import DomainError, InsufficientPrimesError, LengthMismatchError
 from .numtheory import is_probable_prime
 
 
@@ -56,9 +56,17 @@ def first_violation(seq: CoprimeSequence) -> tuple[int, int, int] | None:
 
     Pairs are scanned in lexicographic order; for a pair with gcd F != 1
     the inner scan finds the first third element divisible by A_i/F or
-    A_j/F.
+    A_j/F.  The scan runs only when the elements are not pairwise
+    coprime, which holds iff gcd(A_i, A_0 * ... * A_(i-1)) = 1 for all i.
     """
     a = seq.elements
+    prefix = 1
+    for x in a:
+        if gcd(x, prefix) != 1:
+            break
+        prefix *= x
+    else:
+        return None
     n = len(a)
     for i in range(n):
         for j in range(i + 1, n):
@@ -125,7 +133,7 @@ def subset_product(seq: CoprimeSequence, exponents: Sequence[int]) -> int:
     out = 1
     for a, e in zip(seq.elements, exponents):
         if e < 0:
-            raise ValueError("exponents must be nonnegative")
+            raise DomainError("exponents must be nonnegative")
         if e:
             out *= a**e
     return out

@@ -9,6 +9,7 @@ rather than asserted.
 
 from __future__ import annotations
 
+import math
 import random
 import threading
 
@@ -38,10 +39,16 @@ def _sieve(limit: int) -> list[int]:
 
 
 _SMALL_PRIMES = tuple(_sieve(2000))
+_SMALL_PRIME_SET = frozenset(_SMALL_PRIMES)
+# One gcd against the product of the small primes is the trial division.
+_PRIMORIAL = math.prod(_SMALL_PRIMES)
 
-# Below this bound the fixed base set is a proven-deterministic test.
-_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
-_DETERMINISTIC_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# (bound, bases): below each bound the base set is a proven-deterministic
+# test (Jaeschke 1993; Sorenson and Webster 2015 for the last).
+_DETERMINISTIC_BASES = (
+    (4_759_123_141, (2, 7, 61)),
+    (3_317_044_064_679_887_385_961_981, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)),
+)
 
 
 def _miller_rabin(n: int, bases) -> bool:
@@ -69,19 +76,19 @@ def _miller_rabin(n: int, bases) -> bool:
 def is_probable_prime(x: int, rounds: int = 64) -> bool:
     """Miller-Rabin primality with small-prime trial division first.
 
-    Exact below the deterministic-base bound; above it, `rounds`
+    Exact below the largest deterministic-base bound; above it, `rounds`
     pseudo-random witnesses derived from x keep the answer reproducible
     with error probability at most 4**-rounds.
     """
     if x < 2:
         raise ValueError("primality is asked of integers >= 2")
-    for p in _SMALL_PRIMES:
-        if x == p:
-            return True
-        if x % p == 0:
-            return False
-    if x < _DETERMINISTIC_BOUND:
-        return _miller_rabin(x, _DETERMINISTIC_BASES)
+    if x <= _SMALL_PRIMES[-1]:
+        return x in _SMALL_PRIME_SET
+    if math.gcd(x, _PRIMORIAL) != 1:
+        return False
+    for bound, bases in _DETERMINISTIC_BASES:
+        if x < bound:
+            return _miller_rabin(x, bases)
     rng = random.Random(x ^ 0x9E3779B97F4A7C15)
     bases = [rng.randrange(2, x - 1) for _ in range(rounds)]
     return _miller_rabin(x, bases)
@@ -113,13 +120,13 @@ class ModContext:
     def __init__(self, M: int, q: int | None = None, rounds: int = 64):
         if M < 3 or M % 2 == 0:
             raise DomainError(f"modulus must be an odd prime, got {M}")
-        if not is_probable_prime(M, rounds):
-            raise DomainError(f"modulus {M} is not prime")
         if q is not None:
             if M != 2 * q + 1:
                 raise DomainError("cofactor q must satisfy M = 2q + 1")
-            if not is_probable_prime(q, rounds):
+            if q < 2 or not is_probable_prime(q, rounds):
                 raise DomainError(f"cofactor {q} is not prime")
+        if not is_probable_prime(M, rounds):
+            raise DomainError(f"modulus {M} is not prime")
         self.M = M
         self.q = q
         self._count = 0
@@ -264,7 +271,12 @@ def find_safe_prime(bits: int, rng, budget: int | None = None) -> ModContext:
     """Search for M = 2q + 1 with q prime and ceil(lg M) = bits.
 
     Each attempt draws one candidate q uniformly from [2**(bits-2),
-    2**(bits-1) - 1], which forces the bit length of M.
+    2**(bits-1) - 1], which forces the bit length of M.  Above the small
+    primes, q and M are sieved together (one gcd with the primorial) and
+    then given one base-2 Miller-Rabin round each before the full tests
+    (Wiener, "Safe Prime Generation with a Combined Sieve", 2003).  Both
+    screens reject only composites, so a seeded rng yields the same M as
+    the full tests alone would.
     """
     if bits < 5:
         raise DomainError(f"safe-prime search needs at least 5 bits, got {bits}")
@@ -273,10 +285,14 @@ def find_safe_prime(bits: int, rng, budget: int | None = None) -> ModContext:
     hi = (1 << (bits - 1)) - 1
     for _ in range(attempts):
         q = rng.randrange(lo, hi + 1) | 1
-        if not is_probable_prime(q):
-            continue
         M = 2 * q + 1
-        if is_probable_prime(M):
+        if q > _SMALL_PRIMES[-1] and (
+            math.gcd(q * M, _PRIMORIAL) != 1
+            or not _miller_rabin(q, (2,))
+            or not _miller_rabin(M, (2,))
+        ):
+            continue
+        if is_probable_prime(q) and is_probable_prime(M):
             return ModContext(M, q=q)
     raise SearchExhaustedError(
         f"no {bits}-bit safe prime found in {attempts} attempts"

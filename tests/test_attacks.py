@@ -3,17 +3,22 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from juna.attacks import (
+    MAX_INSTANCE_BYTES,
+    MAX_INSTANCE_DIGITS,
     SubsetSumInstance,
     assp_density,
     birthday_search,
     brute_force_collision,
     brute_force_solve,
     mitm_subset_sum,
+    parse_instance,
 )
 from juna.compress import digest
-from juna.errors import DomainError, InstanceTooLargeError
+from juna.errors import DomainError, InstanceTooLargeError, JunaError, ParseError
 
 
 def test_mitm_examples():
@@ -80,6 +85,46 @@ def test_instance_validation():
         SubsetSumInstance(c=(0, 1), s=1)
     with pytest.raises(DomainError):
         SubsetSumInstance(c=(1, 2), s=-1)
+
+
+def test_parse_instance():
+    assert parse_instance(b"s=11\r\n\nc=1\n c=2 \nc=4\nc=8") == SubsetSumInstance(
+        c=(1, 2, 4, 8), s=11
+    )
+    big = "9" * MAX_INSTANCE_DIGITS
+    assert parse_instance(f"s={big}\nc={big}\n".encode()).s == int(big)
+    for bad in (
+        "c=\u00b2\ns=1\n".encode(),  # non-ASCII byte
+        b"c=1\ns=1\n" + b" " * MAX_INSTANCE_BYTES,  # over the size cap
+        f"c=1{big}\ns=1\n".encode(),  # over the digit cap
+        b"c=1\nc=-1\ns=1\n",
+        b"c=1\ns=1\ns=2\n",
+        b"c=1\n",
+        b"s=1\n",
+        b"c=0\ns=1\n",  # weights must be positive
+    ):
+        with pytest.raises(ParseError):
+            parse_instance(bad)
+
+
+_INSTANCE_TEXT = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from("cs"), st.integers(0, 10**6)).map(lambda t: f"{t[0]}={t[1]}"),
+        st.text(max_size=8),
+    ),
+    max_size=8,
+).map("\n".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.binary(max_size=64), _INSTANCE_TEXT.map(lambda t: t.encode("utf-8"))))
+def test_fuzz_parse_instance(data):
+    try:
+        inst = parse_instance(data)
+    except JunaError:
+        return
+    text = "".join(f"c={c}\n" for c in inst.c) + f"s={inst.s}\n"
+    assert parse_instance(text.encode("ascii")) == inst
 
 
 def test_birthday_budget_one(mid_pub):

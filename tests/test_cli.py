@@ -250,6 +250,9 @@ def test_attack_mitm(tmp_path, capsys):
     rc = main(["attack", "mitm", "--instance", str(inst)])
     assert rc == 0
     assert grab(capsys)["solution"] == "none"
+    inst.write_text("s=1\nc=\u00b2\n", encoding="utf-8")
+    assert main(["attack", "mitm", "--instance", str(inst)]) == 2
+    assert "error: non-ASCII byte at offset 6" in capsys.readouterr().err
 
 
 def test_attack_birthday(toy_files, tmp_path, capsys):

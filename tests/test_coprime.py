@@ -1,4 +1,5 @@
 import random
+from math import gcd, prod
 
 import pytest
 
@@ -10,7 +11,7 @@ from juna.coprime import (
     subset_product,
     verify,
 )
-from juna.errors import InsufficientPrimesError, LengthMismatchError
+from juna.errors import DomainError, InsufficientPrimesError, LengthMismatchError
 
 
 def test_published_sequences_verify():
@@ -42,6 +43,49 @@ def test_shared_factor_with_dividing_reduction_fails():
     assert first_violation(seq) == (0, 1, 2)
 
 
+def _pair_scan(a):
+    """The admissibility scan over every pair, as a test-side oracle."""
+    for i in range(len(a)):
+        for j in range(i + 1, len(a)):
+            f = gcd(a[i], a[j])
+            if f == 1:
+                continue
+            for k in range(len(a)):
+                if k not in (i, j) and (a[k] % (a[i] // f) == 0 or a[k] % (a[j] // f) == 0):
+                    return (i, j, k)
+    return None
+
+
+_PRIMES = [p for p in range(2, 400) if all(p % d for d in range(2, p))]
+
+
+def _coprime_elements(rng, n):
+    """n pairwise-coprime elements, each a product of 1 to 3 primes."""
+    primes = rng.sample(_PRIMES, 3 * n)
+    return [prod(primes[3 * i : 3 * i + rng.randint(1, 3)]) for i in range(n)]
+
+
+def test_first_violation_matches_pair_scan():
+    rng = random.Random(4)
+    planted = violations = 0
+    for _ in range(400):
+        a = _coprime_elements(rng, rng.randint(2, 24))
+        assert first_violation(CoprimeSequence(tuple(a))) is None
+        for _ in range(rng.randint(1, 3)):
+            i, j = rng.sample(range(len(a)), 2)
+            f = rng.choice(_PRIMES[:12])
+            a[i] *= f
+            a[j] *= f
+        if len(set(a)) < len(a):
+            continue
+        planted += 1
+        got = first_violation(CoprimeSequence(tuple(a)))
+        assert got == _pair_scan(a), a
+        violations += got is not None
+    # both outcomes of a planted shared factor occur
+    assert 0 < violations < planted
+
+
 def test_generate_respects_bound_and_seed():
     rng = random.Random(123)
     seq = generate(256, 287117, rng)
@@ -70,6 +114,8 @@ def test_subset_product_examples():
     assert subset_product(seq, (0, 0, 0, 0)) == 1
     with pytest.raises(LengthMismatchError):
         subset_product(seq, (1, 1))
+    with pytest.raises(DomainError):
+        subset_product(seq, (1, -1, 1, 1))
 
 
 def test_subset_product_shadow_exponents():

@@ -19,6 +19,7 @@ from juna.numtheory import (
     multiplicative_order_safe,
     order_at_least,
 )
+from prime_oracle import find_safe_prime_plain, is_probable_prime_plain
 
 REFERENCE_M = 636743755563737235857207
 
@@ -54,6 +55,23 @@ def test_is_probable_prime_agrees_with_sieve():
             flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
     for x in range(2, 10_000):
         assert is_probable_prime(x) == bool(flags[x]), x
+
+
+# Composites that pass Miller-Rabin to every base of a set: 2047 and 3277
+# to 2; 1373653 to 2, 3; 25326001 to 2, 3, 5; 3215031751 to 2..7;
+# 4759123141 to 2, 7, 61; 341550071728321 to 2..17; 3825123056546413051
+# to 2..23.
+_STRONG_PSEUDOPRIMES = (2047, 3277, 1_373_653, 25_326_001, 3_215_031_751,
+                        4_759_123_141, 341_550_071_728_321, 3_825_123_056_546_413_051)
+
+
+def test_is_probable_prime_same_verdict_as_plain():
+    rng = random.Random(34)
+    sample = [rng.randrange(2, 1 << 34) for _ in range(20_000)]
+    around_tiers = [x + d for x in (4_759_123_141, 1 << 32, 1 << 34) for d in range(-600, 600)]
+    for x in [*range(2, 5001), *sample, *around_tiers, *_STRONG_PSEUDOPRIMES]:
+        assert is_probable_prime(x) == is_probable_prime_plain(x), x
+    assert not any(is_probable_prime(x) for x in _STRONG_PSEUDOPRIMES)
 
 
 def test_mod_pow_examples():
@@ -183,3 +201,15 @@ def test_find_safe_prime():
     assert ctx.M == 2 * ctx.q + 1
     with pytest.raises(SearchExhaustedError):
         find_safe_prime(12, random.Random(0), budget=0)
+
+
+@pytest.mark.parametrize("bits", [5, 6, 8, 12, 32, 64, 128])
+def test_find_safe_prime_matches_plain_loop(bits):
+    # Below 2**81 both tests are deterministic.  At 128 bits the plain
+    # loop takes the first 8 of the 64 seeded bases to keep the run short;
+    # a composite passing those would end it early and fail the test.
+    rounds = 8 if bits > 81 else 64
+    for seed in range(20):
+        ctx = find_safe_prime(bits, random.Random(seed))
+        assert ctx.M == find_safe_prime_plain(bits, random.Random(seed), rounds), seed
+        assert ceil_lg(ctx.M) == bits and ctx.q == (ctx.M - 1) // 2

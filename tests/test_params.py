@@ -2,12 +2,16 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from juna import numtheory
 from juna.bitcodec import BitString
 from juna.compress import digest
 from juna.errors import (
     DomainError,
     InconsistentParamsError,
+    JunaError,
     ParseError,
     SearchExhaustedError,
 )
@@ -255,6 +259,72 @@ def test_validate_reports_cofactor_informatively():
     info = {c.name: c for c in validate(pub).checks if c.informative}
     assert "cofactor_prime" in info
     assert info["cofactor_prime"].ok  # the published modulus is a safe prime
+
+
+# (M-1)/2 = 1099511627791 * 1099511628401, two primes just above 2**40.
+_NON_SAFE_M = 2417851640636633232984383
+
+
+@pytest.mark.parametrize("M, nbar, ok, detail", [
+    pytest.param(69143, 4, True, "no prime factor of (M-1)/2 up to 176", id="pass"),
+    pytest.param(69143, 8, False, "(M-1)/2 is composite and at most 304^2",
+                 id="below-bound-squared"),
+    pytest.param(65537, 4, False, "(M-1)/2 divisible by 2", id="even"),
+    pytest.param(120067, 4, False, "(M-1)/2 divisible by 3", id="odd-factor"),
+    pytest.param(_NON_SAFE_M, 8, True, "no prime factor of (M-1)/2 up to 304", id="pass-wide"),
+    pytest.param(_NON_SAFE_M, 1 << 32, False, "undetermined: no factor of (M-1)/2 up to the "
+                 "search limit 16777216, bound 137438953520", id="undetermined"),
+])
+def test_cofactor_structure_outcomes(M, nbar, ok, detail):
+    # 69143 = 2*181*191 + 1 and 120067 = 6*20011 + 1 are primes, not safe
+    pub = PublicParams(m=ceil_lg(M), n=4, M=M, C=(2, 3, 5, 7))
+    line = f"{'PASS' if ok else 'FAIL'} cofactor_structure ({detail})"
+    assert line in validate(pub, nbar=nbar).lines()
+
+
+def test_context_tests_modulus_and_cofactor_once(monkeypatch, reference_pub):
+    tested = []
+    real = numtheory.is_probable_prime
+
+    def counting(x, rounds=64):
+        tested.append(x)
+        return real(x, rounds)
+
+    monkeypatch.setattr(numtheory, "is_probable_prime", counting)
+    M = reference_pub.M
+    ctx = PublicParams(m=80, n=256, M=M, C=reference_pub.C).context()
+    assert sorted(tested) == [(M - 1) // 2, M]
+    assert ctx.q == (M - 1) // 2
+    tested.clear()
+    assert PublicParams(m=17, n=4, M=69143, C=(2, 3, 5, 7)).context().q is None
+    assert sorted(tested) == [34571, 69143]
+    with pytest.raises(DomainError):
+        PublicParams(m=17, n=4, M=69145, C=(2, 3, 5, 7)).context()
+
+
+def _seed_files():
+    pub, priv = initialize(m=12, n=8, P=1201, nbar=8, rng=random.Random(1))
+    return (serialize(pub), serialize(priv))
+
+
+_PARAM_FILES = _seed_files()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.text(),
+        st.tuples(st.sampled_from(_PARAM_FILES), st.integers(0, 400),
+                  st.integers(0, 12), st.text(alphabet="0123456789=-\nACLMPWnmx ", max_size=12))
+        .map(lambda t: t[0][: t[1]] + t[3] + t[0][t[1] + t[2]:]),
+    )
+)
+def test_fuzz_parse(text):
+    try:
+        obj = parse(text)
+    except JunaError:
+        return
+    assert parse(serialize(obj)) == obj
 
 
 def test_reference_file_with_missing_value_line():

@@ -20,7 +20,7 @@ from .bitcodec import BitString, bit_long_shadow
 from .compress import digest
 from .errors import DomainError, InstanceTooLargeError, ParseError
 from .numtheory import ceil_lg
-from .params import PublicParams
+from .params import PublicParams, decode_ascii
 
 MITM_CAP = 40
 BRUTE_CAP = 24
@@ -57,12 +57,7 @@ def parse_instance(data: bytes) -> SubsetSumInstance:
     a non-ASCII byte, an integer over MAX_INSTANCE_DIGITS digits, more
     than MAX_INSTANCE_BYTES bytes or a zero weight raises ParseError.
     """
-    if len(data) > MAX_INSTANCE_BYTES:
-        raise ParseError(f"instance is over {MAX_INSTANCE_BYTES} bytes")
-    try:
-        text = data.decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"non-ASCII byte at offset {exc.start}") from exc
+    text = decode_ascii(data, MAX_INSTANCE_BYTES)
     weights = []
     target = None
     for lineno, raw in enumerate(text.splitlines(), start=1):

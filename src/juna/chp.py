@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .errors import DomainError, ParseError
-from .numtheory import ModContext, find_safe_prime, generator_checks, is_probable_prime
+from .numtheory import ModContext, find_safe_prime, generator_checks
 
 
 @dataclass(frozen=True)
@@ -87,6 +87,9 @@ def compare_costs(m: int, n: int, lg_p: int) -> dict:
 
 
 CHP_HEADER = "CHP 1"
+# 1000 digits, about 3300 bits, is below Python's 4300-digit int() limit.
+MAX_INT_DIGITS = 1000
+MAX_FILE_BYTES = len(CHP_HEADER) + 1 + 4 * (len("alpha=") + MAX_INT_DIGITS + 1)
 
 
 def serialize_chp(params: ChpParams) -> str:
@@ -107,7 +110,7 @@ def parse_chp(text: str) -> ChpParams:
     vals = {}
     for idx, (key, line) in enumerate(zip(("p", "q", "alpha", "beta"), lines[1:]), start=2):
         k, _, v = line.partition("=")
-        if k != key or not v.isdigit():
+        if k != key or not (v.isascii() and v.isdigit()) or len(v) > MAX_INT_DIGITS:
             raise ParseError(f"expected {key}=<int>, got {line!r}", line=idx)
         vals[key] = int(v)
     try:
@@ -116,11 +119,12 @@ def parse_chp(text: str) -> ChpParams:
         raise ParseError(str(exc)) from exc
 
 
-def validate_chp(params: ChpParams, rounds: int = 64) -> bool:
-    """Primality of p and q plus the generator checks for both bases."""
-    if not (is_probable_prime(params.p, rounds) and is_probable_prime(params.q, rounds)):
+def validate_chp(params: ChpParams) -> bool:
+    """Primality of q and p, from the context, plus both generator checks."""
+    try:
+        ctx = params.context()
+    except DomainError:
         return False
-    ctx = params.context()
     factors = (2, params.q)
     return generator_checks(ctx, params.alpha, factors) and generator_checks(
         ctx, params.beta, factors

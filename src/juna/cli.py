@@ -141,8 +141,7 @@ def cmd_chp_setup(args) -> int:
 
 
 def cmd_chp_hash(args) -> int:
-    with open(args.params, "r", encoding="ascii") as fh:
-        cp = chp.parse_chp(fh.read())
+    cp = chp.parse_chp(params.read_ascii(args.params, chp.MAX_FILE_BYTES))
     value = chp.chp_hash(cp, args.w1, args.w2)
     _echo("value", value)
     return 0

@@ -94,6 +94,14 @@ def is_probable_prime(x: int, rounds: int = 64) -> bool:
     return _miller_rabin(x, bases)
 
 
+def _proves_safe_prime(M: int) -> bool:
+    """Whether M = 2q + 1 is prime, given that q >= 2 is prime: a proof by
+    Pocklington's criterion with F = q > sqrt(M) - 1 and witness 2, whose
+    gcd(2**2 - 1, M) = 1 is 3 not dividing M (Brillhart, Lehmer and
+    Selfridge, Math. Comp. 1975)."""
+    return M % 3 != 0 and pow(2, M - 1, M) == 1
+
+
 def _square_multiply(base: int, exponent: int, M: int) -> tuple[int, int]:
     """base**exponent mod M for base in [0, M) and exponent >= 1, with the
     number of multiplications used: one squaring per bit after the leading
@@ -114,7 +122,7 @@ class ModContext:
 
     The context is immutable apart from the counter.  When the cofactor
     q = (M-1)/2 is itself prime, multiplicative orders are one of
-    {1, 2, q, 2q} and can be decided exactly.
+    {1, 2, q, 2q} and can be decided exactly; given q, M is proven from it.
     """
 
     def __init__(self, M: int, q: int | None = None, rounds: int = 64):
@@ -125,7 +133,7 @@ class ModContext:
                 raise DomainError("cofactor q must satisfy M = 2q + 1")
             if q < 2 or not is_probable_prime(q, rounds):
                 raise DomainError(f"cofactor {q} is not prime")
-        if not is_probable_prime(M, rounds):
+        if not (is_probable_prime(M, rounds) if q is None else _proves_safe_prime(M)):
             raise DomainError(f"modulus {M} is not prime")
         self.M = M
         self.q = q
@@ -273,10 +281,10 @@ def find_safe_prime(bits: int, rng, budget: int | None = None) -> ModContext:
     Each attempt draws one candidate q uniformly from [2**(bits-2),
     2**(bits-1) - 1], which forces the bit length of M.  Above the small
     primes, q and M are sieved together (one gcd with the primorial) and
-    then given one base-2 Miller-Rabin round each before the full tests
-    (Wiener, "Safe Prime Generation with a Combined Sieve", 2003).  Both
-    screens reject only composites, so a seeded rng yields the same M as
-    the full tests alone would.
+    then given one base-2 Miller-Rabin round each before the full test of
+    q and the proof of M (Wiener, "Safe Prime Generation with a Combined
+    Sieve", 2003).  Both screens reject only composites, so a seeded rng
+    yields the same M as the full tests alone would.
     """
     if bits < 5:
         raise DomainError(f"safe-prime search needs at least 5 bits, got {bits}")
@@ -292,8 +300,10 @@ def find_safe_prime(bits: int, rng, budget: int | None = None) -> ModContext:
             or not _miller_rabin(M, (2,))
         ):
             continue
-        if is_probable_prime(q) and is_probable_prime(M):
+        try:
             return ModContext(M, q=q)
+        except DomainError:
+            pass
     raise SearchExhaustedError(
         f"no {bits}-bit safe prime found in {attempts} attempts"
     )

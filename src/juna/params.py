@@ -65,10 +65,7 @@ class PublicParams:
         if ctx is None:
             try:
                 ctx = ModContext(self.M, q=(self.M - 1) // 2)
-            except DomainError:
-                # (M-1)/2 or M is not prime.  ModContext tests (M-1)/2
-                # first, so a prime M is tested once; a composite M
-                # raises again here.
+            except DomainError:  # not a safe prime: M gets its own test
                 ctx = ModContext(self.M)
             # setdefault keeps one winner if two threads race the create
             ctx = self.__dict__.setdefault("_ctx", ctx)
@@ -300,12 +297,12 @@ def validate(
     pub: PublicParams,
     priv: PrivateParams | None = None,
     nbar: int | None = None,
-    rounds: int = 64,
 ) -> ValidationReport:
     """Itemized check of every generation constraint.
 
-    The cofactor requirement accepts either branch: (M-1)/2 prime, or no
-    prime factor of it up to 4n(2*nbar+3), searched no further than
+    Primality is read off pub.context(), which the audit reuses.  The
+    cofactor requirement accepts either branch: (M-1)/2 prime, or no prime
+    factor of it up to 4n(2*nbar+3), searched no further than
     COFACTOR_SEARCH_LIMIT.  nbar defaults to n when only the public side
     is in hand.
     """
@@ -317,10 +314,14 @@ def validate(
     M, m, n = pub.M, pub.m, pub.n
     nb = nbar if nbar is not None else (priv.nbar if priv else n)
 
-    add("modulus_prime", is_probable_prime(M, rounds), f"M = {M}")
-    add("modulus_bit_length", ceil_lg(M) == m, f"ceil(lg M) = {ceil_lg(M)}, m = {m}")
     q = (M - 1) // 2
-    q_prime = q >= 2 and is_probable_prime(q, rounds)
+    try:
+        ctx = pub.context()
+    except DomainError:
+        ctx = None  # M is not prime, so (M-1)/2 is asked of again
+    q_prime = ctx.q is not None if ctx else (q >= 2 and is_probable_prime(q))
+    add("modulus_prime", ctx is not None, f"M = {M}")
+    add("modulus_bit_length", ceil_lg(M) == m, f"ceil(lg M) = {ceil_lg(M)}, m = {m}")
     add("cofactor_prime", q_prime, f"(M-1)/2 = {q}", informative=True)
     if q_prime:
         add("cofactor_structure", True, "(M-1)/2 is prime")
@@ -352,10 +353,6 @@ def validate(
             add("lever_in_omega", all(l in omega for l in priv.ell))
         add("delta_invertible", math.gcd(priv.delta, M - 1) == 1)
         add("blinder_in_range", 1 < priv.W < M - 1)
-        try:
-            ctx = pub.context()
-        except DomainError:
-            ctx = None  # composite modulus already reported above
         if q_prime and ctx is not None:
             bound = 1 << (m - ceil_lg(priv.P))
             order = multiplicative_order_safe(ctx, priv.W)
@@ -408,13 +405,6 @@ class CollisionCertificate:
     holds: bool
 
 
-def regenerate_public(priv: PrivateParams) -> PublicParams:
-    """Recompute the public side from the private one."""
-    ctx = ModContext(priv.M)
-    C = _compute_initial_values(ctx, priv.A, priv.ell, priv.W, priv.delta)
-    return PublicParams(m=priv.m, n=priv.n, M=priv.M, C=C)
-
-
 def certify_collision(
     priv: PrivateParams, pub: PublicParams, msg1: BitString, msg2: BitString
 ) -> CollisionCertificate:
@@ -460,6 +450,9 @@ PUB_HEADER = "JUNA-PUB 1"
 # No field of either file can be wider than the largest modulus.
 MAX_INT_DIGITS = len(str(1 << MAX_M))
 PRIV_HEADER = "JUNA-PRIV 1"
+# The private file is the longer: its header, seven fields and 2n values,
+# each line at most a five-letter key, "=", a sign, the digits and LF.
+MAX_FILE_BYTES = (1 + 7 + 2 * MAX_N) * (MAX_INT_DIGITS + 8)
 
 
 def serialize(obj: PublicParams | PrivateParams) -> str:
@@ -566,9 +559,24 @@ def parse(text: str) -> PublicParams | PrivateParams:
     raise ParseError(f"unknown header {header!r}", line=1)
 
 
+def decode_ascii(data: bytes, limit: int) -> str:
+    """data as text; ParseError for over `limit` bytes or a non-ASCII byte."""
+    if len(data) > limit:
+        raise ParseError(f"file is over {limit} bytes")
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"non-ASCII byte at offset {exc.start}") from exc
+
+
+def read_ascii(path, limit: int) -> str:
+    """A text file of at most `limit` bytes, reading no more than one past it."""
+    with open(path, "rb") as fh:
+        return decode_ascii(fh.read(limit + 1), limit)
+
+
 def load(path) -> PublicParams | PrivateParams:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse(fh.read())
+    return parse(read_ascii(path, MAX_FILE_BYTES))
 
 
 def save(obj: PublicParams | PrivateParams, path):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from juna import numtheory
 from juna.params import PublicParams, bundled_public_params, initialize
 
 
@@ -38,3 +39,17 @@ def tiny_pub():
 def reference_pub():
     """The published 80-bit / 256-value parameter set shipped with the package."""
     return bundled_public_params()
+
+
+@pytest.fixture
+def tested(monkeypatch):
+    """Every integer passed to numtheory.is_probable_prime during the test."""
+    calls = []
+    real = numtheory.is_probable_prime
+
+    def counting(x, rounds=64):
+        calls.append(x)
+        return real(x, rounds)
+
+    monkeypatch.setattr(numtheory, "is_probable_prime", counting)
+    return calls

@@ -54,3 +54,16 @@ def find_safe_prime_plain(bits: int, rng, rounds: int = 64) -> int:
         q = rng.randrange(lo, hi + 1) | 1
         if is_probable_prime_plain(q, rounds) and is_probable_prime_plain(2 * q + 1, rounds):
             return 2 * q + 1
+
+
+def composite_safe_form(bits: int) -> int:
+    """The first prime q >= 2**(bits-2) whose 2q + 1 is composite but not
+    divisible by 3, so only the exponentiation of juna's proof rejects it."""
+    q = (1 << (bits - 2)) + 1
+    while not (
+        (2 * q + 1) % 3
+        and is_probable_prime_plain(q, 8)
+        and not is_probable_prime_plain(2 * q + 1, 8)
+    ):
+        q += 2
+    return q

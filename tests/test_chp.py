@@ -14,6 +14,7 @@ from juna.chp import (
 )
 from juna.errors import DomainError, ParseError, SearchExhaustedError
 from juna.numtheory import ModContext
+from prime_oracle import composite_safe_form
 
 
 def test_setup_five_bits_is_forced():
@@ -90,3 +91,16 @@ def test_serialize_round_trip():
         parse_chp("CHP 2\np=23\nq=11\nalpha=5\nbeta=7\n")
     with pytest.raises(ParseError):
         parse_chp(serialize_chp(params).replace("q=11", "r=11"))
+    with pytest.raises(ParseError):
+        parse_chp(serialize_chp(params).replace("alpha=5", "alpha=\u00b2"))
+    with pytest.raises(ParseError):
+        parse_chp(serialize_chp(params).replace("alpha=5", "alpha=" + "9" * 5000))
+
+
+def test_validate_tests_q_once_and_proves_p(tested):
+    params = parse_chp(serialize_chp(chp_setup(64, random.Random(2))))
+    tested.clear()
+    assert validate_chp(params)
+    assert tested == [params.q]
+    q = composite_safe_form(64)
+    assert not validate_chp(ChpParams(p=2 * q + 1, q=q, alpha=2, beta=3))

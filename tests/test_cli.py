@@ -208,6 +208,13 @@ def test_validate_failing_file_is_exit_2(toy_files, tmp_path, capsys):
     assert "FAIL initial_values_distinct" in out
 
 
+def test_validate_non_ascii_file_is_parse_error(tmp_path, capsys):
+    bad = tmp_path / "bad.pub"
+    bad.write_bytes("JUNA-PUB 1\nm=\u00b2\n".encode())
+    assert main(["validate", "--pub", str(bad)]) == 2
+    assert "error: non-ASCII byte at offset 13" in capsys.readouterr().err
+
+
 def test_chp_flow(tmp_path, capsys):
     out = str(tmp_path / "chp.txt")
     rc = main(["chp", "setup", "--bits", "5", "--seed", "1", "--out", out])
@@ -222,6 +229,10 @@ def test_chp_flow(tmp_path, capsys):
     vals = grab(capsys)
     assert vals["juna_bit_ops"] == "52428800"
     assert vals["chp_bit_ops"] == "8589934592"
+    with open(out, "ab") as fh:
+        fh.write("\u00b2".encode())
+    assert main(["chp", "hash", "--params", out, "--w1", "3", "--w2", "4"]) == 2
+    assert "error: non-ASCII byte at offset" in capsys.readouterr().err
 
 
 def test_reform_flow(tmp_path, capsys):

@@ -11,6 +11,7 @@ from juna.errors import (
 )
 from juna.numtheory import (
     ModContext,
+    _proves_safe_prime,
     ceil_lg,
     find_generator,
     find_safe_prime,
@@ -19,7 +20,7 @@ from juna.numtheory import (
     multiplicative_order_safe,
     order_at_least,
 )
-from prime_oracle import find_safe_prime_plain, is_probable_prime_plain
+from prime_oracle import composite_safe_form, find_safe_prime_plain, is_probable_prime_plain
 
 REFERENCE_M = 636743755563737235857207
 
@@ -146,6 +147,42 @@ def test_context_rejects_bad_modulus():
         ModContext(100)
     with pytest.raises(DomainError):
         ModContext(23, q=7)  # 23 != 2*7 + 1
+
+
+def test_safe_prime_proof_matches_sieve():
+    limit = 2 * 10**5 + 1
+    flags = bytearray([1]) * (limit + 1)
+    flags[0:2] = b"\x00\x00"
+    for p in range(2, int(limit**0.5) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
+    verdicts = {True: 0, False: 0}
+    for q in range(2, 10**5):
+        if flags[q]:
+            proof = _proves_safe_prime(2 * q + 1)
+            assert proof == bool(flags[2 * q + 1]), q
+            verdicts[proof] += 1
+    assert verdicts[True] > 1000 and verdicts[False] > 1000
+
+
+def test_context_rejects_composite_safe_form_at_232_bits():
+    q = composite_safe_form(232)
+    with pytest.raises(DomainError, match="is not prime"):
+        ModContext(2 * q + 1, q=q)
+
+
+def test_context_tests_only_the_cofactor(tested):
+    ModContext(REFERENCE_M, q=(REFERENCE_M - 1) // 2)
+    assert tested == [(REFERENCE_M - 1) // 2]
+    tested.clear()
+    ModContext(REFERENCE_M)
+    assert tested == [REFERENCE_M]
+    tested.clear()
+    # the search tests the accepted q once and no 64-bit M at all
+    for seed in range(5):
+        ctx = find_safe_prime(64, random.Random(seed))
+        assert tested.count(ctx.q) == 1 and all(x < 1 << 63 for x in tested)
+        tested.clear()
 
 
 def test_find_generator_scan():

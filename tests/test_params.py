@@ -1,3 +1,4 @@
+import builtins
 import dataclasses
 import random
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from juna import numtheory
+from juna import params
 from juna.bitcodec import BitString
 from juna.compress import digest
 from juna.errors import (
@@ -17,6 +18,9 @@ from juna.errors import (
 )
 from juna.numtheory import ceil_lg, is_probable_prime
 from juna.params import (
+    MAX_FILE_BYTES,
+    MAX_INT_DIGITS,
+    MAX_N,
     PRIV_HEADER,
     PUB_HEADER,
     PrivateParams,
@@ -27,12 +31,15 @@ from juna.params import (
     check_capacity,
     find_modulus,
     initialize,
+    load,
     omega_magnitudes,
     parse,
     sample_omega,
     serialize,
     validate,
 )
+
+from prime_oracle import composite_safe_form
 
 REFERENCE_M = 636743755563737235857207
 
@@ -282,24 +289,90 @@ def test_cofactor_structure_outcomes(M, nbar, ok, detail):
     assert line in validate(pub, nbar=nbar).lines()
 
 
-def test_context_tests_modulus_and_cofactor_once(monkeypatch, reference_pub):
-    tested = []
-    real = numtheory.is_probable_prime
-
-    def counting(x, rounds=64):
-        tested.append(x)
-        return real(x, rounds)
-
-    monkeypatch.setattr(numtheory, "is_probable_prime", counting)
+def test_context_tests_modulus_and_cofactor_once(tested, reference_pub):
     M = reference_pub.M
     ctx = PublicParams(m=80, n=256, M=M, C=reference_pub.C).context()
-    assert sorted(tested) == [(M - 1) // 2, M]
+    assert tested == [(M - 1) // 2]  # M itself is proven from (M-1)/2
     assert ctx.q == (M - 1) // 2
     tested.clear()
     assert PublicParams(m=17, n=4, M=69143, C=(2, 3, 5, 7)).context().q is None
-    assert sorted(tested) == [34571, 69143]
+    assert tested == [34571, 69143]
     with pytest.raises(DomainError):
         PublicParams(m=17, n=4, M=69145, C=(2, 3, 5, 7)).context()
+
+
+def test_validate_audit_tests_each_prime_once(tested, toy_pub, toy_priv):
+    pub, priv = parse(serialize(toy_pub)), parse(serialize(toy_priv))
+    tested.clear()
+    assert validate(pub, priv).passed
+    assert tested == [(pub.M - 1) // 2]
+
+
+def test_validate_fails_composite_safe_form():
+    q = composite_safe_form(232)
+    M = 2 * q + 1
+    lines = validate(PublicParams(m=232, n=4, M=M, C=(2, 3, 5, 7))).lines()
+    assert f"FAIL modulus_prime (M = {M})" in lines
+    assert f"INFO cofactor_prime ok=true ((M-1)/2 = {q})" in lines
+
+
+def test_validate_report_lines_for_reference(reference_pub):
+    M, q = REFERENCE_M, (REFERENCE_M - 1) // 2
+    assert validate(reference_pub).lines() == [
+        f"PASS modulus_prime (M = {M})",
+        "PASS modulus_bit_length (ceil(lg M) = 80, m = 80)",
+        f"INFO cofactor_prime ok=true ((M-1)/2 = {q})",
+        "PASS cofactor_structure ((M-1)/2 is prime)",
+        "PASS initial_values_range",
+        "PASS initial_values_distinct",
+    ]
+
+
+def test_load_rejects_non_ascii_and_oversized_files(tmp_path):
+    path = tmp_path / "p.pub"
+    path.write_bytes(f"{PUB_HEADER}\nm=\u00b2\n".encode())
+    with pytest.raises(ParseError, match="non-ASCII byte at offset 13"):
+        load(path)
+    path.write_bytes(b"\n" * MAX_FILE_BYTES)
+    with pytest.raises(ParseError, match="unknown header"):
+        load(path)  # at the cap the file is read and parsed
+    path.write_bytes(b"\n" * (MAX_FILE_BYTES + 1))
+    with pytest.raises(ParseError, match=f"over {MAX_FILE_BYTES} bytes"):
+        load(path)
+
+
+def test_load_reads_one_byte_past_the_cap_at_most(tmp_path, monkeypatch):
+    path = tmp_path / "big.pub"
+    path.write_bytes(b"\n" * (2 * MAX_FILE_BYTES))
+    got = []
+
+    class Counting:
+        def __init__(self, *args):
+            self.fh = builtins.open(*args)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def read(self, size=-1):
+            data = self.fh.read(size)
+            got.append(len(data))
+            return data
+
+    monkeypatch.setattr(params, "open", Counting, raising=False)
+    with pytest.raises(ParseError, match="over"):
+        load(path)
+    assert got == [MAX_FILE_BYTES + 1]
+
+
+def test_file_cap_holds_the_widest_private_file():
+    # every field at the full modulus width and every L negative
+    big = 10 ** MAX_INT_DIGITS - 1
+    lines = [PRIV_HEADER] + [f"{k}={big}" for k in ("m", "n", "M", "P", "nbar", "W", "delta")]
+    lines += [f"A={big}"] * MAX_N + [f"L=-{big}"] * MAX_N
+    assert len("\n".join(lines) + "\n") <= MAX_FILE_BYTES
 
 
 def _seed_files():

@@ -54,6 +54,10 @@ class DomainError(JunaError):
     """Argument outside the range an operation is defined on."""
 
 
+class CompositeSafeFormError(DomainError):
+    """A modulus M = 2q + 1 that is composite although q is prime."""
+
+
 class InstanceTooLargeError(JunaError):
     """Problem instance exceeds the configured size cap for this solver."""
 

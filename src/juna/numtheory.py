@@ -1,20 +1,20 @@
 """Arbitrary-precision modular arithmetic with an auditable multiplication counter.
 
 Everything the parameter generator and the compressor need from number
-theory lives here: Miller-Rabin primality, safe-prime search, generator
-finding, exact order checks in safe-prime groups, and a ModContext whose
-every modular multiplication is counted so cost claims can be measured
-rather than asserted.
+theory lives here: primality (Baillie-PSW above 3.3 * 10**24, exact below),
+safe-prime search, generator finding, exact order checks in safe-prime
+groups, and a ModContext whose every modular multiplication is counted so
+cost claims can be measured rather than asserted.
 """
 
 from __future__ import annotations
 
 import math
-import random
 import threading
 
 from .errors import (
     BadFactorizationError,
+    CompositeSafeFormError,
     DomainError,
     NotInvertibleError,
     SearchExhaustedError,
@@ -25,7 +25,7 @@ from .errors import (
 def ceil_lg(x: int) -> int:
     """Smallest k with 2**k >= x."""
     if x < 1:
-        raise ValueError("ceil_lg needs a positive integer")
+        raise DomainError("ceil_lg needs a positive integer")
     return (x - 1).bit_length()
 
 
@@ -73,15 +73,58 @@ def _miller_rabin(n: int, bases) -> bool:
     return True
 
 
-def is_probable_prime(x: int, rounds: int = 64) -> bool:
-    """Miller-Rabin primality with small-prime trial division first.
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
 
-    Exact below the largest deterministic-base bound; above it, `rounds`
-    pseudo-random witnesses derived from x keep the answer reproducible
-    with error probability at most 4**-rounds.
-    """
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas test of odd n > 2 with Selfridge's parameters: D the first
+    of 5, -7, 9, ... with (D/n) = -1, P = 1, Q = (1 - D)/4.  For n + 1 = d * 2**s,
+    d odd, n passes if U_d = 0 or V_(d * 2**r) = 0 for some r < s."""
+    if math.isqrt(n) ** 2 == n:
+        return False  # no D has (D/n) = -1 for a square n
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0 and abs(D) != n:
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q, half = (1 - D) // 4, (n + 1) // 2
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    U, V, Qk = 1, 1, Q % n  # U_1, V_1 and Q**1
+    for bit in bin((n + 1) >> s)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n  # k -> 2k
+        if bit == "1":  # 2k -> 2k + 1
+            U, V, Qk = (U + V) * half % n, (D * U + V) * half % n, Qk * Q % n
+    if U == 0:
+        return True
+    for _ in range(s):
+        if V == 0:
+            return True
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+    return False
+
+
+def is_probable_prime(x: int) -> bool:
+    """Whether x >= 2 is prime: trial division by the primes below 2000,
+    Miller-Rabin with bases proven deterministic below 3.3 * 10**24, and
+    Baillie-PSW above (Baillie and Wagstaff, Math. Comp. 1980).  No composite
+    is known to pass Baillie-PSW and none exists below 2**64; unlike for
+    Miller-Rabin to bases known in advance, no way to build one is known
+    (Albrecht et al., "Prime and Prejudice", CCS 2018)."""
     if x < 2:
-        raise ValueError("primality is asked of integers >= 2")
+        raise DomainError("primality is asked of integers >= 2")
     if x <= _SMALL_PRIMES[-1]:
         return x in _SMALL_PRIME_SET
     if math.gcd(x, _PRIMORIAL) != 1:
@@ -89,9 +132,7 @@ def is_probable_prime(x: int, rounds: int = 64) -> bool:
     for bound, bases in _DETERMINISTIC_BASES:
         if x < bound:
             return _miller_rabin(x, bases)
-    rng = random.Random(x ^ 0x9E3779B97F4A7C15)
-    bases = [rng.randrange(2, x - 1) for _ in range(rounds)]
-    return _miller_rabin(x, bases)
+    return _miller_rabin(x, (2,)) and _strong_lucas(x)
 
 
 def _proves_safe_prime(M: int) -> bool:
@@ -125,15 +166,17 @@ class ModContext:
     {1, 2, q, 2q} and can be decided exactly; given q, M is proven from it.
     """
 
-    def __init__(self, M: int, q: int | None = None, rounds: int = 64):
+    def __init__(self, M: int, q: int | None = None):
         if M < 3 or M % 2 == 0:
             raise DomainError(f"modulus must be an odd prime, got {M}")
         if q is not None:
             if M != 2 * q + 1:
                 raise DomainError("cofactor q must satisfy M = 2q + 1")
-            if q < 2 or not is_probable_prime(q, rounds):
+            if q < 2 or not is_probable_prime(q):
                 raise DomainError(f"cofactor {q} is not prime")
-        if not (is_probable_prime(M, rounds) if q is None else _proves_safe_prime(M)):
+            if not _proves_safe_prime(M):
+                raise CompositeSafeFormError(f"modulus {M} is not prime")
+        elif not is_probable_prime(M):
             raise DomainError(f"modulus {M} is not prime")
         self.M = M
         self.q = q

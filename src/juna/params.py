@@ -12,11 +12,13 @@ hashing.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 
 from . import coprime
 from .bitcodec import BitString, bit_long_shadow
 from .errors import (
+    CompositeSafeFormError,
     DomainError,
     InconsistentParamsError,
     LengthMismatchError,
@@ -60,11 +62,15 @@ class PublicParams:
             raise DomainError(f"modulus needs {ceil_lg(self.M)} bits, m = {self.m}")
 
     def context(self) -> ModContext:
-        """Shared counting context for this modulus (created lazily)."""
+        """Shared counting context for this modulus (created lazily).  When
+        (M-1)/2 is prime M is proven from it, and a failed proof raises
+        CompositeSafeFormError; otherwise M gets its own test."""
         ctx = self.__dict__.get("_ctx")
         if ctx is None:
             try:
                 ctx = ModContext(self.M, q=(self.M - 1) // 2)
+            except CompositeSafeFormError:
+                raise
             except DomainError:  # not a safe prime: M gets its own test
                 ctx = ModContext(self.M)
             # setdefault keeps one winner if two threads race the create
@@ -317,9 +323,11 @@ def validate(
     q = (M - 1) // 2
     try:
         ctx = pub.context()
-    except DomainError:
-        ctx = None  # M is not prime, so (M-1)/2 is asked of again
-    q_prime = ctx.q is not None if ctx else (q >= 2 and is_probable_prime(q))
+        q_prime = ctx.q is not None
+    except CompositeSafeFormError:
+        ctx, q_prime = None, True  # (M-1)/2 passed, and the proof rejected M
+    except DomainError:  # for odd M, context() found (M-1)/2 not prime first
+        ctx, q_prime = None, M % 2 == 0 and q >= 2 and is_probable_prime(q)
     add("modulus_prime", ctx is not None, f"M = {M}")
     add("modulus_bit_length", ceil_lg(M) == m, f"ceil(lg M) = {ceil_lg(M)}, m = {m}")
     add("cofactor_prime", q_prime, f"(M-1)/2 = {q}", informative=True)
@@ -477,83 +485,72 @@ def serialize(obj: PublicParams | PrivateParams) -> str:
     return "\n".join(lines) + "\n"
 
 
-class _LineReader:
-    def __init__(self, text: str):
-        self.lines = text.split("\n")
-        if self.lines and self.lines[-1] == "":
-            self.lines.pop()
-        self.pos = 0
+# key=<int> with 1 to MAX_INT_DIGITS ASCII digits, and a "-" allowed on L= only.
+# One pattern checks a whole block of value lines, joined back with LF.
+_FIELD = {key: rf"{key}={'-?' if key == 'L' else ''}[0-9]{{1,{MAX_INT_DIGITS}}}" for key in "CAL"}
+_BLOCK = {key: re.compile(rf"(?:{f}\n)*{f}") for key, f in _FIELD.items()}
 
-    @property
-    def lineno(self) -> int:
-        return self.pos + 1
 
-    def next(self) -> str:
-        if self.pos >= len(self.lines):
-            raise ParseError("unexpected end of file", line=self.lineno)
-        line = self.lines[self.pos]
-        self.pos += 1
-        return line
+def _expect_int(lines: list[str], i: int, key: str) -> int:
+    """The integer on line i (0-based) as key=<int>, or the ParseError naming it."""
+    if i >= len(lines):
+        raise ParseError("unexpected end of file", line=i + 1)
+    line = lines[i]
+    if "=" not in line:
+        raise ParseError(f"expected {key}=<int>, got {line!r}", line=i + 1)
+    k, _, v = line.partition("=")
+    if k != key:
+        raise ParseError(f"expected key {key!r}, got {k!r}", line=i + 1)
+    body = v[1:] if key == "L" and v.startswith("-") else v
+    if len(body) > MAX_INT_DIGITS:
+        raise ParseError(f"{key!r} has over {MAX_INT_DIGITS} digits", line=i + 1)
+    if not (body.isascii() and body.isdigit()):
+        raise ParseError(f"bad integer {v!r} for key {key!r}", line=i + 1)
+    return int(v)
 
-    def expect_int(self, key: str, signed: bool = False) -> int:
-        lineno = self.lineno
-        line = self.next()
-        if "=" not in line:
-            raise ParseError(f"expected {key}=<int>, got {line!r}", line=lineno)
-        k, _, v = line.partition("=")
-        if k != key:
-            raise ParseError(f"expected key {key!r}, got {k!r}", line=lineno)
-        body = v[1:] if signed and v.startswith("-") else v
-        if len(body) > MAX_INT_DIGITS:
-            raise ParseError(f"{key!r} has over {MAX_INT_DIGITS} digits", line=lineno)
-        if not (body.isascii() and body.isdigit()):
-            raise ParseError(f"bad integer {v!r} for key {key!r}", line=lineno)
-        return int(v)
 
-    def done(self):
-        if self.pos != len(self.lines):
-            raise ParseError(
-                f"trailing content {self.lines[self.pos]!r}", line=self.lineno
-            )
+def _block(lines: list[str], start: int, count: int, key: str) -> tuple[int, ...]:
+    """The integers of `count` key=<int> lines from line `start` (0-based).
+
+    One pattern match checks the block; only when it fails are the lines
+    walked one by one, so that the error names the first bad line.
+    """
+    block = lines[start : start + count]
+    if len(block) == count and _BLOCK[key].fullmatch("\n".join(block)):
+        return tuple([int(line[len(key) + 1 :]) for line in block])
+    return tuple(_expect_int(lines, i, key) for i in range(start, start + count))
+
+
+def _end(lines: list[str], i: int):
+    if i < len(lines):
+        raise ParseError(f"trailing content {lines[i]!r}", line=i + 1)
 
 
 def parse(text: str) -> PublicParams | PrivateParams:
     """Parse a parameter file; the header line picks the flavour."""
-    r = _LineReader(text)
-    header = r.next()
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if not lines:
+        raise ParseError("unexpected end of file", line=1)
+    header = lines[0]
     if header == PUB_HEADER:
-        m = r.expect_int("m")
-        n = r.expect_int("n")
-        M = r.expect_int("M")
-        C = tuple(r.expect_int("C") for _ in range(n))
-        r.done()
+        m, n, M = (_expect_int(lines, i, key) for i, key in enumerate("mnM", 1))
+        C = _block(lines, 4, n, "C")
+        _end(lines, 4 + n)
         try:
             return PublicParams(m=m, n=n, M=M, C=C)
         except DomainError as exc:
             raise ParseError(str(exc)) from exc
     if header == PRIV_HEADER:
-        m = r.expect_int("m")
-        n = r.expect_int("n")
-        M = r.expect_int("M")
-        P = r.expect_int("P")
-        nbar = r.expect_int("nbar")
-        W = r.expect_int("W")
-        delta = r.expect_int("delta")
-        A = tuple(r.expect_int("A") for _ in range(n))
-        L = tuple(r.expect_int("L", signed=True) for _ in range(n))
-        r.done()
+        keys = ("m", "n", "M", "P", "nbar", "W", "delta")
+        m, n, M, P, nbar, W, delta = (_expect_int(lines, i, k) for i, k in enumerate(keys, 1))
+        A = _block(lines, 8, n, "A")
+        L = _block(lines, 8 + n, n, "L")
+        _end(lines, 8 + 2 * n)
         try:
-            return PrivateParams(
-                m=m,
-                n=n,
-                M=M,
-                P=P,
-                nbar=nbar,
-                W=W,
-                delta=delta,
-                A=coprime.CoprimeSequence(A, bound=P),
-                ell=L,
-            )
+            A = coprime.CoprimeSequence(A, bound=P)
+            return PrivateParams(m=m, n=n, M=M, P=P, nbar=nbar, W=W, delta=delta, A=A, ell=L)
         except (DomainError, ValueError) as exc:
             raise ParseError(str(exc)) from exc
     raise ParseError(f"unknown header {header!r}", line=1)

@@ -1,0 +1,99 @@
+"""The line-by-line parameter parser, for the tests only.
+
+It reads one line at a time and checks each key and integer as it goes,
+the way juna.params.parse did before it checked whole blocks of value
+lines with one pattern.  Tests require the two to accept the same files,
+return equal objects and raise the same ParseError, message and line.
+"""
+
+from juna import coprime
+from juna.errors import DomainError, ParseError
+from juna.params import (
+    MAX_INT_DIGITS,
+    PRIV_HEADER,
+    PUB_HEADER,
+    PrivateParams,
+    PublicParams,
+)
+
+
+class _LineReader:
+    def __init__(self, text: str):
+        self.lines = text.split("\n")
+        if self.lines and self.lines[-1] == "":
+            self.lines.pop()
+        self.pos = 0
+
+    @property
+    def lineno(self) -> int:
+        return self.pos + 1
+
+    def next(self) -> str:
+        if self.pos >= len(self.lines):
+            raise ParseError("unexpected end of file", line=self.lineno)
+        line = self.lines[self.pos]
+        self.pos += 1
+        return line
+
+    def expect_int(self, key: str, signed: bool = False) -> int:
+        lineno = self.lineno
+        line = self.next()
+        if "=" not in line:
+            raise ParseError(f"expected {key}=<int>, got {line!r}", line=lineno)
+        k, _, v = line.partition("=")
+        if k != key:
+            raise ParseError(f"expected key {key!r}, got {k!r}", line=lineno)
+        body = v[1:] if signed and v.startswith("-") else v
+        if len(body) > MAX_INT_DIGITS:
+            raise ParseError(f"{key!r} has over {MAX_INT_DIGITS} digits", line=lineno)
+        if not (body.isascii() and body.isdigit()):
+            raise ParseError(f"bad integer {v!r} for key {key!r}", line=lineno)
+        return int(v)
+
+    def done(self):
+        if self.pos != len(self.lines):
+            raise ParseError(
+                f"trailing content {self.lines[self.pos]!r}", line=self.lineno
+            )
+
+
+def parse_line_by_line(text: str) -> PublicParams | PrivateParams:
+    """Parse a parameter file; the header line picks the flavour."""
+    r = _LineReader(text)
+    header = r.next()
+    if header == PUB_HEADER:
+        m = r.expect_int("m")
+        n = r.expect_int("n")
+        M = r.expect_int("M")
+        C = tuple(r.expect_int("C") for _ in range(n))
+        r.done()
+        try:
+            return PublicParams(m=m, n=n, M=M, C=C)
+        except DomainError as exc:
+            raise ParseError(str(exc)) from exc
+    if header == PRIV_HEADER:
+        m = r.expect_int("m")
+        n = r.expect_int("n")
+        M = r.expect_int("M")
+        P = r.expect_int("P")
+        nbar = r.expect_int("nbar")
+        W = r.expect_int("W")
+        delta = r.expect_int("delta")
+        A = tuple(r.expect_int("A") for _ in range(n))
+        L = tuple(r.expect_int("L", signed=True) for _ in range(n))
+        r.done()
+        try:
+            return PrivateParams(
+                m=m,
+                n=n,
+                M=M,
+                P=P,
+                nbar=nbar,
+                W=W,
+                delta=delta,
+                A=coprime.CoprimeSequence(A, bound=P),
+                ell=L,
+            )
+        except (DomainError, ValueError) as exc:
+            raise ParseError(str(exc)) from exc
+    raise ParseError(f"unknown header {header!r}", line=1)

@@ -1,13 +1,16 @@
-"""The plain primality test and safe-prime loop, for the tests only.
+"""The plain primality tests and safe-prime loop, for the tests only.
 
 Primality divides by each prime below 2000 in turn, then runs
 Miller-Rabin with the 13 bases that are deterministic below 3.3 * 10**24,
-or with bases drawn from an rng seeded by x above that.  The safe-prime
-loop tests each candidate q in full before it looks at 2q + 1.  None of
-this shares code with the gcd trial division, the tiered bases or the
-combined sieve behind juna.numtheory.
+or with 64 bases drawn from an rng seeded by x above that.  The strong
+Lucas test steps the Lucas recurrence by powers of its 2x2 matrix and
+takes the Jacobi symbol from the factors of n.  The safe-prime loop tests
+each candidate q in full before it looks at 2q + 1.  None of this shares
+code with the gcd trial division, the tiered bases, the U/V doubling
+ladder or the combined sieve behind juna.numtheory.
 """
 
+import math
 import random
 
 _BOUND = 3_317_044_064_679_887_385_961_981
@@ -31,7 +34,9 @@ def _strong_probable_prime(n: int, a: int) -> bool:
 
 
 def is_probable_prime_plain(x: int, rounds: int = 64) -> bool:
-    """Same verdicts as juna.numtheory.is_probable_prime, the long way."""
+    """Primality by trial division and Miller-Rabin: exact below 3.3 * 10**24
+    like juna.numtheory.is_probable_prime, and above it `rounds` strong tests,
+    an oracle independent of juna's Baillie-PSW."""
     for p in _SMALL_PRIMES:
         if x == p:
             return True
@@ -43,6 +48,55 @@ def is_probable_prime_plain(x: int, rounds: int = 64) -> bool:
         rng = random.Random(x ^ 0x9E3779B97F4A7C15)
         bases = [rng.randrange(2, x - 1) for _ in range(rounds)]
     return all(_strong_probable_prime(x, a % x) for a in bases if a % x)
+
+
+def _jacobi_by_factors(a: int, n: int) -> int:
+    """(a/n) for odd n > 0 as the product of Legendre symbols over the prime
+    factors of n, found by trial division, each by Euler's criterion."""
+    result, p = 1, 3
+    while n > 1:
+        if p * p > n:
+            p = n
+        while n % p == 0:
+            n //= p
+            r = pow(a, (p - 1) // 2, p)
+            result *= -1 if r == p - 1 else r
+        p += 2
+    return result
+
+
+def _mat_mul(x, y, n: int):
+    return [[(x[i][0] * y[0][j] + x[i][1] * y[1][j]) % n for j in (0, 1)] for i in (0, 1)]
+
+
+def strong_lucas_plain(n: int) -> bool:
+    """Strong Lucas test of odd n > 1, not a square, with Selfridge's D, P
+    and Q.  The recurrence X_(j+1) = P X_j - Q X_(j-1) is stepped k times by
+    the k-th power of its matrix [[P, -Q], [1, 0]], whose bottom row applied
+    to (U_1, U_0) = (1, 0) and (V_1, V_0) = (P, 2) gives U_k and V_k."""
+    D = 5
+    while (j := _jacobi_by_factors(D, n)) != -1:
+        if j == 0 and abs(D) != n:
+            return False
+        D = -D - 2 if D > 0 else 2 - D
+    P, Q = 1, (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    A, base, k = [[1, 0], [0, 1]], [[P, -Q % n], [1, 0]], d
+    while k:
+        if k & 1:
+            A = _mat_mul(A, base, n)
+        base = _mat_mul(base, base, n)
+        k >>= 1
+    if A[1][0] == 0:  # U_d
+        return True
+    for _ in range(s):
+        if (A[1][0] * P + A[1][1] * 2) % n == 0:  # V_(d * 2**r)
+            return True
+        A = _mat_mul(A, A, n)
+    return False
 
 
 def find_safe_prime_plain(bits: int, rng, rounds: int = 64) -> int:

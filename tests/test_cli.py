@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -331,3 +332,25 @@ def test_production_keygen_validate_bench_flow(tmp_path, capsys):
     vals = grab(capsys)
     assert int(vals["mulcount_max"]) <= 192  # 2n at n = 96
     assert vals["bound_respected"] == "true"
+
+
+def test_keygen_232_4096_is_byte_identical(tmp_path, capsys):
+    # the safe-prime search must keep every verdict, so the seeded keys stay put
+    pub, priv = tmp_path / "k.pub", tmp_path / "k.priv"
+    rc = main(["keygen", "--seed", "4096", "--m", "232", "--n", "4096", "--p-bits", "32",
+               "--nbar", "4096", "--out-pub", str(pub), "--out-priv", str(priv)])
+    assert rc == 0
+    assert hashlib.sha256(pub.read_bytes()).hexdigest() == (
+        "dc485de865ed5369e8f2e7183c14fa307f5b60f451d0511ae6336ba3a7c3e13f")
+    assert hashlib.sha256(priv.read_bytes()).hexdigest() == (
+        "d9be3cffae1495a5fbdf68b4f3726db15c846463b0590cb03e1425b50be0aeef")
+    M = int(grab(capsys)["M"])
+    assert main(["validate", "--pub", str(pub)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"PASS modulus_prime (M = {M})",
+        "PASS modulus_bit_length (ceil(lg M) = 232, m = 232)",
+        f"INFO cofactor_prime ok=true ((M-1)/2 = {(M - 1) // 2})",
+        "PASS cofactor_structure ((M-1)/2 is prime)",
+        "PASS initial_values_range",
+        "PASS initial_values_distinct",
+    ]

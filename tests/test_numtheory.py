@@ -1,7 +1,9 @@
+import math
 import random
 
 import pytest
 
+from juna import numtheory
 from juna.errors import (
     BadFactorizationError,
     DomainError,
@@ -11,7 +13,9 @@ from juna.errors import (
 )
 from juna.numtheory import (
     ModContext,
+    _miller_rabin,
     _proves_safe_prime,
+    _strong_lucas,
     ceil_lg,
     find_generator,
     find_safe_prime,
@@ -20,9 +24,26 @@ from juna.numtheory import (
     multiplicative_order_safe,
     order_at_least,
 )
-from prime_oracle import composite_safe_form, find_safe_prime_plain, is_probable_prime_plain
+from prime_oracle import (
+    _strong_probable_prime,
+    composite_safe_form,
+    find_safe_prime_plain,
+    is_probable_prime_plain,
+    strong_lucas_plain,
+)
 
 REFERENCE_M = 636743755563737235857207
+# Above this bound is_probable_prime is the Baillie-PSW test.
+_BPSW_FROM = 3_317_044_064_679_887_385_961_981
+
+
+def _sieve_flags(limit):
+    flags = bytearray([1]) * (limit + 1)
+    flags[0:2] = b"\x00\x00"
+    for p in range(2, int(limit**0.5) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
+    return flags
 
 
 def test_ceil_lg():
@@ -31,6 +52,8 @@ def test_ceil_lg():
     assert ceil_lg(1024) == 10
     assert ceil_lg(1025) == 11
     assert ceil_lg(REFERENCE_M) == 80
+    with pytest.raises(DomainError):
+        ceil_lg(0)
 
 
 def test_is_probable_prime_small():
@@ -38,7 +61,7 @@ def test_is_probable_prime_small():
     assert is_probable_prime(3)
     assert not is_probable_prime(4)
     assert is_probable_prime(1201)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         is_probable_prime(1)
 
 
@@ -49,11 +72,7 @@ def test_is_probable_prime_reference_modulus():
 
 
 def test_is_probable_prime_agrees_with_sieve():
-    flags = bytearray([1]) * 10_000
-    flags[0:2] = b"\x00\x00"
-    for p in range(2, 100):
-        if flags[p]:
-            flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
+    flags = _sieve_flags(9_999)
     for x in range(2, 10_000):
         assert is_probable_prime(x) == bool(flags[x]), x
 
@@ -73,6 +92,89 @@ def test_is_probable_prime_same_verdict_as_plain():
     for x in [*range(2, 5001), *sample, *around_tiers, *_STRONG_PSEUDOPRIMES]:
         assert is_probable_prime(x) == is_probable_prime_plain(x), x
     assert not any(is_probable_prime(x) for x in _STRONG_PSEUDOPRIMES)
+
+
+@pytest.fixture(scope="module")
+def odd_below_1e5():
+    """(odd primes, odd composites that are not squares) below 10**5."""
+    flags = _sieve_flags(10**5)
+    odd = [n for n in range(3, 10**5, 2) if math.isqrt(n) ** 2 != n]
+    return [n for n in odd if flags[n]], [n for n in odd if not flags[n]]
+
+
+def test_lucas_half_rejects_base2_strong_pseudoprimes(odd_below_1e5):
+    primes, composites = odd_below_1e5
+    spsp2 = [n for n in composites if _strong_probable_prime(n, 2)]
+    assert spsp2[:3] == [2047, 3277, 4033] and len(spsp2) == 16
+    for n in spsp2:
+        assert _miller_rabin(n, (2,)) and not _strong_lucas(n), n
+    assert all(_miller_rabin(p, (2,)) for p in primes)
+
+
+def test_base2_half_rejects_strong_lucas_pseudoprimes(odd_below_1e5):
+    primes, composites = odd_below_1e5
+    slpsp = [n for n in composites if strong_lucas_plain(n)]
+    assert slpsp[:3] == [5459, 5777, 10877] and len(slpsp) == 12
+    # the doubling ladder passes exactly the composites the recurrence passes
+    assert [n for n in composites if _strong_lucas(n)] == slpsp
+    assert all(_strong_lucas(p) for p in primes)
+    for n in slpsp:
+        assert not _miller_rabin(n, (2,)), n
+
+
+def test_lucas_half_rejects_prime_squares():
+    # 3511 is a Wieferich prime: its square passes the base-2 strong test
+    assert _miller_rabin(3511**2, (2,))
+    flags = _sieve_flags(3000)
+    for p in [q for q in range(2001, 3000) if flags[q]] + [3511, 2**61 - 1, 2**89 - 1]:
+        assert not _strong_lucas(p * p), p
+    assert not is_probable_prime((2**89 - 1) ** 2)
+
+
+def test_chernick_carmichael_numbers_rejected():
+    # (6k+1)(12k+1)(18k+1) with all three factors prime is a Carmichael number
+    k = round((_BPSW_FROM / 1296) ** (1 / 3)) - 1  # n is about 1296 k**3
+    found = []
+    while len(found) < 12:
+        k += 1
+        a, b, c = 6 * k + 1, 12 * k + 1, 18 * k + 1
+        if a * b * c > _BPSW_FROM and all(is_probable_prime_plain(f) for f in (a, b, c)):
+            found.append(a * b * c)
+    # two of them pass the base-2 strong test, so only the Lucas half rejects them
+    assert sum(_strong_probable_prime(n, 2) for n in found) == 2
+    for n in found:
+        assert pow(2, n - 1, n) == 1  # a Fermat pseudoprime to base 2
+        assert not is_probable_prime(n), n
+
+
+def test_bpsw_needs_both_halves(monkeypatch):
+    p, q = (next(x for x in range(b + 1, 2 * b, 2) if is_probable_prime_plain(x))
+            for b in (10**12, 10**13))
+    n = p * q  # a semiprime above the bound, with no factor below 2000
+    assert n > _BPSW_FROM and not is_probable_prime(n)
+    monkeypatch.setattr(numtheory, "_strong_lucas", lambda n: True)
+    assert not is_probable_prime(n)  # the base-2 half rejects it alone
+    monkeypatch.undo()
+    monkeypatch.setattr(numtheory, "_miller_rabin", lambda n, bases: True)
+    assert not is_probable_prime(n)  # and so does the Lucas half
+
+
+def test_bpsw_agrees_with_plain_above_bound():
+    rng = random.Random(2018)
+
+    def random_prime(bits):
+        while True:
+            x = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+            if is_probable_prime_plain(x):
+                return x
+
+    odd = [rng.randrange(_BPSW_FROM, 1 << rng.randrange(82, 300)) | 1 for _ in range(300)]
+    semiprimes = [random_prime(b) * random_prime(b + 3) for b in range(42, 120, 3)]
+    primes = [random_prime(b) for b in range(84, 240, 8)]
+    assert all(x > _BPSW_FROM for x in semiprimes + primes)
+    for x in odd + semiprimes + primes:
+        assert is_probable_prime(x) == is_probable_prime_plain(x), x
+    assert all(is_probable_prime(x) for x in primes)
 
 
 def test_mod_pow_examples():
@@ -150,12 +252,7 @@ def test_context_rejects_bad_modulus():
 
 
 def test_safe_prime_proof_matches_sieve():
-    limit = 2 * 10**5 + 1
-    flags = bytearray([1]) * (limit + 1)
-    flags[0:2] = b"\x00\x00"
-    for p in range(2, int(limit**0.5) + 1):
-        if flags[p]:
-            flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
+    flags = _sieve_flags(2 * 10**5 + 1)
     verdicts = {True: 0, False: 0}
     for q in range(2, 10**5):
         if flags[q]:

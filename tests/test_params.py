@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from juna import params
+from juna import coprime, params
 from juna.bitcodec import BitString
 from juna.compress import digest
 from juna.errors import (
@@ -39,6 +39,7 @@ from juna.params import (
     validate,
 )
 
+from params_oracle import parse_line_by_line
 from prime_oracle import composite_safe_form
 
 REFERENCE_M = 636743755563737235857207
@@ -308,12 +309,26 @@ def test_validate_audit_tests_each_prime_once(tested, toy_pub, toy_priv):
     assert tested == [(pub.M - 1) // 2]
 
 
-def test_validate_fails_composite_safe_form():
+def test_validate_fails_composite_safe_form(tested):
     q = composite_safe_form(232)
     M = 2 * q + 1
+    tested.clear()
     lines = validate(PublicParams(m=232, n=4, M=M, C=(2, 3, 5, 7))).lines()
+    assert tested == [q]  # the failed proof decides M; q is not tested again
     assert f"FAIL modulus_prime (M = {M})" in lines
     assert f"INFO cofactor_prime ok=true ((M-1)/2 = {q})" in lines
+
+
+def test_validate_tests_composite_cofactor_once(tested):
+    # 69145 = 5 * 13829 and (69145 - 1)/2 = 34572 is even
+    lines = validate(PublicParams(m=17, n=4, M=69145, C=(2, 3, 5, 7))).lines()
+    assert tested == [34572, 69145]
+    assert "FAIL modulus_prime (M = 69145)" in lines
+    assert "INFO cofactor_prime ok=false ((M-1)/2 = 34572)" in lines
+    tested.clear()
+    # an even M fails before its cofactor is looked at, so validate tests it
+    lines = validate(PublicParams(m=17, n=4, M=69142, C=(2, 3, 5, 7))).lines()
+    assert tested == [34570] and "INFO cofactor_prime ok=false ((M-1)/2 = 34570)" in lines
 
 
 def test_validate_report_lines_for_reference(reference_pub):
@@ -408,3 +423,83 @@ def test_reference_file_with_missing_value_line():
     assert len(lines) == 4 + 256
     with pytest.raises(ParseError):
         parse("\n".join(lines[:-1]) + "\n")  # 255 value lines under an n=256 header
+
+
+def _parse_outcome(parser, text):
+    """The parsed object, or the message and line of the ParseError."""
+    try:
+        return parser(text)
+    except ParseError as exc:
+        return ("ParseError", str(exc), exc.line)
+
+
+def _wide_files():
+    """A public and a private file whose values are up to 70 digits wide."""
+    rng = random.Random(232)
+    M = rng.getrandbits(231) | 1 << 231 | 1
+    big = [rng.randrange(2, M) for _ in range(6)]
+    pub = PublicParams(m=232, n=4, M=M, C=tuple(big[:4]))
+    priv = PrivateParams(m=232, n=4, M=M, P=1 << 32, nbar=4, W=big[4], delta=big[5],
+                         A=coprime.CoprimeSequence((2, 3, 5, 7), bound=1 << 32),
+                         ell=(5, -7, 9, -11))
+    return serialize(pub), serialize(priv)
+
+
+_ALL_FILES = _PARAM_FILES + _wide_files()
+_LINE = st.tuples(
+    st.sampled_from(["m", "n", "M", "P", "nbar", "W", "delta", "C", "A", "L", "", "x"]),
+    st.sampled_from(["=", "", "==", "=-", "=+", "= "]),
+    st.text(alphabet="0123456789", max_size=75),
+    st.sampled_from(["", "\u00b2", "\u0663", "-", " ", "\r", "_0"]),
+).map("".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(st.sampled_from(_ALL_FILES), st.integers(0, 600), st.integers(0, 12),
+                  st.text(alphabet="0123456789=-\nACLMPWnmx \u00b2\u0663", max_size=12))
+        .map(lambda t: t[0][: t[1]] + t[3] + t[0][t[1] + t[2]:]),
+        st.tuples(st.sampled_from(_ALL_FILES), st.integers(0, 16), st.integers(0, 2),
+                  st.lists(_LINE, max_size=3))
+        .map(lambda t: "\n".join(t[0].split("\n")[: t[1]] + t[3]
+                                 + t[0].split("\n")[t[1] + t[2]:])),
+    )
+)
+def test_fuzz_parse_matches_line_by_line_reader(text):
+    assert _parse_outcome(parse, text) == _parse_outcome(parse_line_by_line, text)
+
+
+@pytest.mark.parametrize("lineno, bad, message", [
+    (5, "C=12x", "bad integer '12x' for key 'C'"),
+    (132, "C=", "bad integer '' for key 'C'"),
+    (260, "A=5", "expected key 'C', got 'A'"),
+    (132, "C=" + "1" * 71, "'C' has over 70 digits"),
+    (5, "C=-5", "bad integer '-5' for key 'C'"),
+    (260, "C=1\u00b2", "bad integer '1\u00b2' for key 'C'"),
+    (200, "C=\u0663", "bad integer '\u0663' for key 'C'"),  # an Arabic-Indic digit three
+    (261, "C=5", "trailing content 'C=5'"),
+])
+def test_parse_error_names_the_bad_value_line(reference_pub, lineno, bad, message):
+    lines = serialize(reference_pub).split("\n")
+    lines[lineno - 1 : lineno] = [bad] if lineno <= 260 else [bad, ""]
+    text = "\n".join(lines)
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (str(err.value), err.value.line) == (f"line {lineno}: {message}", lineno)
+    assert _parse_outcome(parse_line_by_line, text) == ("ParseError", str(err.value), lineno)
+
+
+def test_parse_takes_signed_values_on_l_lines_only():
+    pub_text, priv_text = _wide_files()
+    last_l = priv_text.rstrip("\n").rsplit("\n", 1)[0] + "\n"
+    for text in (
+        priv_text.replace("L=-11\n", f"L=-{'9' * 70}\n"),
+        priv_text.replace("L=-11\n", f"L=-{'9' * 71}\n"),
+        last_l + "L=-0",  # no final LF
+        priv_text.replace("A=7\n", "A=-7\n"),
+        pub_text.replace("\nC=", "\nC=-", 1),
+    ):
+        assert _parse_outcome(parse, text) == _parse_outcome(parse_line_by_line, text)
+    assert parse(last_l + "L=-0").ell[-1] == 0
+    assert parse(priv_text.replace("L=-11\n", f"L=-{'9' * 70}\n")).ell[-1] == -(10**70 - 1)

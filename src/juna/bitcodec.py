@@ -82,11 +82,6 @@ class BitString:
         """First n bits of the hex digits, most significant bit first."""
         return cls.from_string(leading_bits(text, n))
 
-    @classmethod
-    def from_bytes(cls, data: bytes, n: int) -> "BitString":
-        """First n bits of the bytes, most significant bit first."""
-        return cls.from_string(leading_bits(data, n))
-
     def is_zero(self) -> bool:
         return not self.value
 

@@ -15,6 +15,7 @@ from math import isqrt
 
 from .errors import DomainError, ParseError
 from .numtheory import ModContext, find_safe_prime, generator_checks
+from .params import MAX_M, MAX_N
 
 
 @dataclass(frozen=True)
@@ -43,8 +44,8 @@ def chp_setup(bits: int, rng, budget: int | None = None) -> ChpParams:
     The generator scan from 2 upward is deterministic, so the whole
     setup is reproducible from the rng seed alone.
     """
-    if bits < 5:
-        raise DomainError(f"need at least 5 bits, got {bits}")
+    if not 5 <= bits <= MAX_BITS:
+        raise DomainError(f"need 5 to {MAX_BITS} bits, got {bits}")
     ctx = find_safe_prime(bits, rng, budget=budget)
     factors = (2, ctx.q)
     found = []
@@ -76,6 +77,8 @@ def compare_costs(m: int, n: int, lg_p: int) -> dict:
     """
     if m < 2 or n < 2 or lg_p < 2:
         raise DomainError("all widths must be at least 2")
+    if m > MAX_M or n > MAX_N or lg_p > MAX_BITS:
+        raise DomainError(f"widths must be at most m={MAX_M}, n={MAX_N}, lg p={MAX_BITS}")
     return {
         "chp_bit_ops": 8 * lg_p**3,
         "juna_bit_ops": 4 * n * m * m,
@@ -89,6 +92,8 @@ def compare_costs(m: int, n: int, lg_p: int) -> dict:
 CHP_HEADER = "CHP 1"
 # 1000 digits, about 3300 bits, is below Python's 4300-digit int() limit.
 MAX_INT_DIGITS = 1000
+# The widest p whose every value parse_chp reads back: 2**3321 < 10**1000.
+MAX_BITS = (10**MAX_INT_DIGITS).bit_length() - 1
 MAX_FILE_BYTES = len(CHP_HEADER) + 1 + 4 * (len("alpha=") + MAX_INT_DIGITS + 1)
 
 

@@ -10,13 +10,14 @@ parse failure, 3 search exhausted.
 from __future__ import annotations
 
 import argparse
+import functools
 import secrets
 import sys
 import time
 
 from . import attacks, chp, compress, params, reform
 from .bitcodec import MAX_BITS, BitString, leading_bits, pad_to_length
-from .errors import JunaError, ParseError, SearchExhaustedError
+from .errors import DomainError, JunaError, ParseError, SearchExhaustedError
 
 
 class _UsageError(Exception):
@@ -77,6 +78,8 @@ def _message_from_args(args, n: int) -> tuple[BitString, bool]:
 
 
 def cmd_keygen(args) -> int:
+    if not 1 <= args.p_bits <= 32:
+        raise DomainError(f"--p-bits must lie in [1, 32], got {args.p_bits}")
     seed = _resolve_seed(args)
     import random
 
@@ -235,6 +238,8 @@ def cmd_attack_brute(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.iters < 1:
+        raise DomainError(f"--iters must be at least 1, got {args.iters}")
     seed = _resolve_seed(args)
     import random
 
@@ -263,7 +268,9 @@ def cmd_bench(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argparse tree, built once per process: parsing does not change it."""
     parser = _Parser(prog="juna", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -362,7 +369,7 @@ def main(argv=None) -> int:
     except SearchExhaustedError as exc:
         print(f"search exhausted: {exc}", file=sys.stderr)
         return 3
-    except (JunaError, OSError, ValueError) as exc:
+    except (JunaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

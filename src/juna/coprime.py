@@ -13,7 +13,7 @@ from math import gcd
 from typing import Sequence
 
 from .errors import DomainError, InsufficientPrimesError, LengthMismatchError
-from .numtheory import is_probable_prime
+from .numtheory import _sieve, is_probable_prime
 
 
 @dataclass(frozen=True)
@@ -29,13 +29,13 @@ class CoprimeSequence:
 
     def __post_init__(self):
         if not self.elements:
-            raise ValueError("empty sequence")
+            raise DomainError("empty sequence")
         if any(a < 2 for a in self.elements):
-            raise ValueError("elements must be >= 2")
+            raise DomainError("elements must be >= 2")
         if len(set(self.elements)) != len(self.elements):
-            raise ValueError("elements must be pairwise distinct")
+            raise DomainError("elements must be pairwise distinct")
         if self.bound is not None and any(a > self.bound for a in self.elements):
-            raise ValueError(f"element exceeds bound {self.bound}")
+            raise DomainError(f"element exceeds bound {self.bound}")
 
     @property
     def n(self) -> int:
@@ -88,15 +88,6 @@ def verify(seq: CoprimeSequence) -> bool:
     return first_violation(seq) is None
 
 
-def _prime_count_upto(limit: int) -> int:
-    flags = bytearray([1]) * (limit + 1)
-    flags[0:2] = b"\x00\x00"
-    for p in range(2, int(limit**0.5) + 1):
-        if flags[p]:
-            flags[p * p :: p] = bytearray(len(range(p * p, limit + 1, p)))
-    return sum(flags)
-
-
 def generate(n: int, P: int, rng) -> CoprimeSequence:
     """Draw n distinct primes uniformly from [2, P].
 
@@ -104,12 +95,12 @@ def generate(n: int, P: int, rng) -> CoprimeSequence:
     a seeded rng.
     """
     if n < 1:
-        raise ValueError("need n >= 1")
+        raise DomainError("need n >= 1")
     if P < 2:
         raise InsufficientPrimesError(f"no primes at all below {P}")
     # Only small bounds can run short of primes; pi(2**21) ~ 155k >> 4096.
     if P <= 1 << 21:
-        count = _prime_count_upto(P)
+        count = sum(_sieve(P))
         if count < n:
             raise InsufficientPrimesError(f"only {count} primes <= {P}, need {n}")
     picked: list[int] = []

@@ -25,10 +25,6 @@ class NotInvertibleError(JunaError):
     """Modular inverse requested for a non-unit."""
 
 
-class BadFactorizationError(JunaError):
-    """Supplied factor list does not multiply back to the group order."""
-
-
 class UnknownFactorizationError(JunaError):
     """Order computation needs the cofactor, which is not available."""
 

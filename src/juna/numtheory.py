@@ -2,18 +2,18 @@
 
 Everything the parameter generator and the compressor need from number
 theory lives here: primality (Baillie-PSW above 3.3 * 10**24, exact below),
-safe-prime search, generator finding, exact order checks in safe-prime
+safe-prime search, generator checks, exact orders in safe-prime
 groups, and a ModContext whose every modular multiplication is counted so
 cost claims can be measured rather than asserted.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 
 from .errors import (
-    BadFactorizationError,
     CompositeSafeFormError,
     DomainError,
     NotInvertibleError,
@@ -29,16 +29,17 @@ def ceil_lg(x: int) -> int:
     return (x - 1).bit_length()
 
 
-def _sieve(limit: int) -> list[int]:
+def _sieve(limit: int) -> bytearray:
+    """Flags for 0..limit, 1 exactly at the primes (Eratosthenes)."""
     flags = bytearray([1]) * (limit + 1)
     flags[0:2] = b"\x00\x00"
-    for p in range(2, int(limit**0.5) + 1):
+    for p in range(2, math.isqrt(limit) + 1):
         if flags[p]:
-            flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
-    return [i for i, f in enumerate(flags) if f]
+            flags[p * p :: p] = bytearray(len(range(p * p, limit + 1, p)))
+    return flags
 
 
-_SMALL_PRIMES = tuple(_sieve(2000))
+_SMALL_PRIMES = tuple(itertools.compress(itertools.count(), _sieve(2000)))
 _SMALL_PRIME_SET = frozenset(_SMALL_PRIMES)
 # One gcd against the product of the small primes is the trial division.
 _PRIMORIAL = math.prod(_SMALL_PRIMES)
@@ -244,17 +245,10 @@ class ModContext:
         return acc
 
     def mod_inverse(self, x: int) -> int:
-        M = self.M
-        x %= M
-        t, new_t = 0, 1
-        r, new_r = M, x
-        while new_r:
-            quot = r // new_r
-            t, new_t = new_t, t - quot * new_t
-            r, new_r = new_r, r - quot * new_r
-        if r != 1:
-            raise NotInvertibleError(f"{x} has no inverse modulo {M}")
-        return t % M
+        try:
+            return pow(x, -1, self.M)
+        except ValueError:
+            raise NotInvertibleError(f"{x % self.M} has no inverse modulo {self.M}") from None
 
 
 def generator_checks(ctx: ModContext, g: int, prime_factors) -> bool:
@@ -265,34 +259,6 @@ def generator_checks(ctx: ModContext, g: int, prime_factors) -> bool:
         return False
     order = ctx.M - 1
     return all(ctx.mod_pow(g, order // p) != 1 for p in set(prime_factors))
-
-
-def find_generator(ctx: ModContext, factors, rng=None, budget: int = 10_000) -> int:
-    """Find a generator of the multiplicative group modulo ctx.M.
-
-    `factors` lists the primes of M - 1 with multiplicity and must
-    multiply back to it.  Without an rng the search scans upward from 2,
-    which is deterministic; with one it samples at random.
-    """
-    order = ctx.M - 1
-    prod = 1
-    for f in factors:
-        prod *= f
-    if prod != order:
-        raise BadFactorizationError(
-            f"factors multiply to {prod}, expected {order}"
-        )
-    distinct = sorted(set(factors))
-    if rng is None:
-        for g in range(2, ctx.M):
-            if generator_checks(ctx, g, distinct):
-                return g
-        raise SearchExhaustedError("no generator found by scan")  # unreachable for prime M
-    for _ in range(budget):
-        g = rng.randrange(2, ctx.M)
-        if generator_checks(ctx, g, distinct):
-            return g
-    raise SearchExhaustedError(f"no generator found in {budget} samples")
 
 
 def multiplicative_order_safe(ctx: ModContext, w: int) -> int:
@@ -311,11 +277,6 @@ def multiplicative_order_safe(ctx: ModContext, w: int) -> int:
     if ctx.mod_pow(w, ctx.q) == 1:
         return ctx.q
     return 2 * ctx.q
-
-
-def order_at_least(ctx: ModContext, w: int, bound: int) -> bool:
-    """Whether the order of w modulo a safe prime reaches `bound`."""
-    return multiplicative_order_safe(ctx, w) >= bound
 
 
 def find_safe_prime(bits: int, rng, budget: int | None = None) -> ModContext:

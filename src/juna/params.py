@@ -56,6 +56,8 @@ class PublicParams:
             raise DomainError(f"n = {self.n} is not an even length in range")
         if len(self.C) != self.n:
             raise DomainError(f"expected {self.n} initial values, got {len(self.C)}")
+        if self.m > MAX_M:
+            raise DomainError(f"m = {self.m} exceeds {MAX_M}")
         if self.M < 3:
             raise DomainError("modulus too small")
         if ceil_lg(self.M) > self.m:
@@ -98,6 +100,8 @@ class PrivateParams:
     def __post_init__(self):
         if len(self.A) != self.n or len(self.ell) != self.n:
             raise DomainError("basis and exponent table must have n entries")
+        if self.nbar < 1:
+            raise DomainError("nbar must be positive")
         if self.omega_signs is not None and len(self.omega_signs) != self.nbar:
             raise DomainError("need one sign per magnitude")
 
@@ -123,12 +127,6 @@ def sample_omega(nbar: int, rng) -> tuple[int, ...]:
     )
 
 
-def check_capacity(m: int, n: int, nbar: int, P: int) -> bool:
-    """Sizing rule tying the search space to the modulus width:
-    2 * n**5 * nbar * P**5 must reach 2**m."""
-    return 2 * n**5 * nbar * P**5 >= 1 << m
-
-
 def capacity_report(m: int, n: int, nbar: int, P: int) -> dict:
     """Both published forms of the sizing rule, with log2 margins."""
     main = 2 * n**5 * nbar * P**5
@@ -140,18 +138,6 @@ def capacity_report(m: int, n: int, nbar: int, P: int) -> dict:
         "alt_lg": math.log2(alt),
         "m": m,
     }
-
-
-def find_modulus(m: int, n: int, nbar: int, rng, budget: int | None = None) -> ModContext:
-    """Safe prime M = 2q + 1 with ceil(lg M) = m.
-
-    Safe primes make the later order checks exact; whenever
-    2**(m-2) > 4n(2*nbar+3) the cofactor automatically exceeds the
-    collision-argument bound, which holds for every supported size.
-    """
-    if m < TEST_MIN_M:
-        raise DomainError(f"modulus width {m} below the test floor {TEST_MIN_M}")
-    return find_safe_prime(m, rng, budget=budget)
 
 
 def _check_init_constraints(m, n, P, nbar, production):
@@ -169,9 +155,11 @@ def _check_init_constraints(m, n, P, nbar, production):
         raise DomainError(f"prime bound width {ceil_lg(P)} outside [10, 32]")
     if P < 3 or P > 1 << 32:
         raise DomainError(f"prime bound {P} out of range")
+    if ceil_lg(P) > m:
+        raise DomainError(f"prime bound width {ceil_lg(P)} exceeds m = {m}")
     if not n <= nbar <= MAX_NBAR:
         raise DomainError(f"nbar = {nbar} outside [n, 2**32]")
-    if not check_capacity(m, n, nbar, P):
+    if not capacity_report(m, n, nbar, P)["main_ok"]:
         raise DomainError(
             f"capacity rule fails: 2*n^5*nbar*P^5 < 2^{m} for n={n}, nbar={nbar}, P={P}"
         )
@@ -204,7 +192,8 @@ def initialize(
     """
     _check_init_constraints(m, n, P, nbar, production)
     A = coprime.generate(n, P, rng)
-    ctx = find_modulus(m, n, nbar, rng, budget=budget)
+    # a safe prime makes the order checks exact
+    ctx = find_safe_prime(m, rng, budget=budget)
     M = ctx.M
     order_bound = 1 << (m - ceil_lg(P))
     for _ in range(max_redraws):
@@ -362,12 +351,12 @@ def validate(
         add("delta_invertible", math.gcd(priv.delta, M - 1) == 1)
         add("blinder_in_range", 1 < priv.W < M - 1)
         if q_prime and ctx is not None:
-            bound = 1 << (m - ceil_lg(priv.P))
+            shift = m - ceil_lg(priv.P)
             order = multiplicative_order_safe(ctx, priv.W)
             add(
                 "blinder_order",
-                order >= bound,
-                f"order {order} vs bound 2^{m - ceil_lg(priv.P)}",
+                shift <= 0 or order >= 1 << shift,
+                f"order {order} vs bound 2^{shift}",
             )
         else:
             add(
@@ -551,7 +540,7 @@ def parse(text: str) -> PublicParams | PrivateParams:
         try:
             A = coprime.CoprimeSequence(A, bound=P)
             return PrivateParams(m=m, n=n, M=M, P=P, nbar=nbar, W=W, delta=delta, A=A, ell=L)
-        except (DomainError, ValueError) as exc:
+        except DomainError as exc:
             raise ParseError(str(exc)) from exc
     raise ParseError(f"unknown header {header!r}", line=1)
 

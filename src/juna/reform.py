@@ -50,21 +50,6 @@ def reform_digest(profile: ReformProfile, underlying: BitString) -> compress.Dig
     return compress.digest(profile.pub, underlying)
 
 
-def build_profile(underlying_bits: int, P: int, nbar: int, rng, budget=None) -> ReformProfile:
-    """Generate a fresh profile for a given underlying output width."""
-    if underlying_bits % 2:
-        raise DomainError("underlying width must be even")
-    pub, _ = params.initialize(
-        m=underlying_bits // 2,
-        n=underlying_bits,
-        P=P,
-        nbar=nbar,
-        rng=rng,
-        budget=budget,
-    )
-    return ReformProfile(pub=pub)
-
-
 def load_profile(path) -> ReformProfile:
     obj = params.load(path)
     if not isinstance(obj, params.PublicParams):

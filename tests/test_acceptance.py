@@ -14,7 +14,6 @@ from juna.attacks import (
     SubsetSumInstance,
     birthday_search,
     brute_force_collision,
-    brute_force_solve,
     mitm_subset_sum,
 )
 from juna.bitcodec import BitString, bit_long_shadow, bit_shadow
@@ -24,6 +23,7 @@ from juna.coprime import generate, subset_product, verify
 from juna.numtheory import ceil_lg, is_probable_prime
 from juna.params import certify_collision, initialize, validate
 
+from attacks_oracle import brute_force_solve
 from compress_oracle import digest_oracle
 
 README = Path(__file__).resolve().parent.parent / "README.md"

@@ -13,12 +13,13 @@ from juna.attacks import (
     assp_density,
     birthday_search,
     brute_force_collision,
-    brute_force_solve,
     mitm_subset_sum,
     parse_instance,
 )
 from juna.compress import digest
 from juna.errors import DomainError, InstanceTooLargeError, JunaError, ParseError
+
+from attacks_oracle import brute_force_solve
 
 
 def test_mitm_examples():

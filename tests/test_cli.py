@@ -1,13 +1,17 @@
+import contextlib
 import hashlib
+import io
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from juna.bitcodec import BitString
 from juna.cli import main
 from juna.compress import digest
 from juna.params import bundled_public_params, initialize, save
-from juna.reform import build_profile
 
 REFERENCE_MSG_HEX = "f3f49249dc28ff90a5aec7978306d03bf38b2ffc80a4df5a51c9bc701e7ea419"
 REFERENCE_DIGEST = "0ea2759806423903744c"
@@ -198,7 +202,7 @@ def test_validate_reference(pub_file, capsys):
 
 def test_validate_failing_file_is_exit_2(toy_files, tmp_path, capsys):
     pub_path, _ = toy_files
-    text = open(pub_path).read()
+    text = Path(pub_path).read_text()
     lines = text.strip().split("\n")
     lines[4] = lines[5]  # duplicate one initial value
     bad = tmp_path / "dup.pub"
@@ -237,9 +241,9 @@ def test_chp_flow(tmp_path, capsys):
 
 
 def test_reform_flow(tmp_path, capsys):
-    profile = build_profile(32, P=1201, nbar=32, rng=random.Random(5))
+    pub, _ = initialize(m=16, n=32, P=1201, nbar=32, rng=random.Random(5))
     path = tmp_path / "prof.pub"
-    save(profile.pub, path)
+    save(pub, path)
     rc = main(["reform", "--profile", str(path), "--digest-hex", "deadbeef"])
     assert rc == 0
     vals = grab(capsys)
@@ -354,3 +358,179 @@ def test_keygen_232_4096_is_byte_identical(tmp_path, capsys):
         "PASS initial_values_range",
         "PASS initial_values_distinct",
     ]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bench", "--pub", "-", "--iters", "0"], "--iters must be at least 1"),
+        (["bench", "--pub", "-", "--iters", "-2"], "--iters must be at least 1"),
+        (["keygen", "--p-bits", "-1"], "--p-bits must lie in [1, 32]"),
+        (["keygen", "--p-bits", str(10**12)], "--p-bits must lie in [1, 32]"),
+        (["chp", "compare", "--m", "80", "--n", "2048", "--lgp", "2000000000"], "widths must be at most"),
+        (["chp", "compare", "--m", "233", "--n", "2048", "--lgp", "1024"], "widths must be at most"),
+        (["chp", "compare", "--m", "80", "--n", "4097", "--lgp", "1024"], "widths must be at most"),
+    ],
+)
+def test_out_of_range_input_is_exit_2_before_output(argv, message, tmp_path, capsys):
+    if argv[0] == "keygen":
+        argv = argv + ["--m", "12", "--n", "8", "--nbar", "8", "--seed", "1",
+                       "--out-pub", str(tmp_path / "k.pub"), "--out-priv", str(tmp_path / "k.priv")]
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert message in out.err
+
+
+def test_keygen_prime_bound_wider_than_m_is_exit_2(tmp_path, capsys):
+    rc = main(["keygen", "--m", "12", "--n", "8", "--p-bits", "13", "--nbar", "8", "--test-mode",
+               "--out-pub", str(tmp_path / "k.pub"), "--out-priv", str(tmp_path / "k.priv")])
+    assert rc == 2
+    assert "error: prime bound width 13 exceeds m = 12" in capsys.readouterr().err
+
+
+def test_chp_setup_writes_only_widths_chp_hash_reads(tmp_path, capsys):
+    assert main(["chp", "setup", "--bits", "3322", "--seed", "1"]) == 2
+    assert "need 5 to 3321 bits" in capsys.readouterr().err
+    out = str(tmp_path / "chp.txt")
+    assert main(["chp", "setup", "--bits", "64", "--seed", "1", "--out", out]) == 0
+    capsys.readouterr()
+    assert main(["chp", "hash", "--params", out, "--w1", "3", "--w2", "4"]) == 0
+
+
+def test_validate_priv_with_repeated_basis_value_is_parse_error(toy_files, tmp_path, capsys):
+    pub_path, priv_path = toy_files
+    lines = Path(priv_path).read_text().split("\n")
+    first = lines.index(next(l for l in lines if l.startswith("A=")))
+    lines[first + 1] = lines[first]
+    bad = tmp_path / "dup.priv"
+    bad.write_text("\n".join(lines))
+    assert main(["validate", "--pub", pub_path, "--priv", str(bad)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: elements must be pairwise distinct\n"
+
+
+def test_validate_priv_with_wide_prime_bound_or_zero_nbar(toy_files, tmp_path, capsys):
+    pub_path, priv_path = toy_files
+    text = Path(priv_path).read_text().replace("\nP=1201\n", f"\nP={1 << 40}\n")
+    wide = tmp_path / "wide.priv"
+    wide.write_text(text)
+    assert main(["validate", "--pub", pub_path, "--priv", str(wide)]) == 0
+    assert "PASS blinder_order" in capsys.readouterr().out
+    wide.write_text(text.replace("\nnbar=8\n", "\nnbar=0\n"))
+    assert main(["validate", "--pub", pub_path, "--priv", str(wide)]) == 2
+    assert "error: nbar must be positive" in capsys.readouterr().err
+
+
+def test_pub_file_wider_than_max_m_is_parse_error(tmp_path, capsys):
+    wide = tmp_path / "wide.pub"
+    wide.write_text("JUNA-PUB 1\nm=1000000\nn=4\nM=11\nC=2\nC=3\nC=4\nC=5\n")
+    assert main(["hash", "--pub", str(wide), "--msg-bits", "1010"]) == 2
+    assert "error: m = 1000000 exceeds 232" in capsys.readouterr().err
+
+
+# Integers near the small edge and far past it, as the CLI's int options take.
+_INTS = st.one_of(st.integers(-3, 40), st.integers(-3, 1 << 40)).map(str)
+_VALUES = st.one_of(_INTS, st.text(max_size=6), st.just("9" * 80))
+
+
+@st.composite
+def _file(draw, text):
+    """One line of text rekeyed, dropped, repeated or cut; or random bytes."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.binary(max_size=64))
+    lines = text.split("\n")
+    i = draw(st.integers(0, len(lines) - 1))
+    op = draw(st.sampled_from(["value", "drop", "repeat", "cut"]))
+    if op == "value":
+        lines[i] = f"{lines[i].partition('=')[0]}={draw(_VALUES)}"
+    elif op == "drop":
+        del lines[i]
+    elif op == "repeat":
+        lines.insert(i, lines[i])
+    else:
+        lines = lines[:i]
+    return "\n".join(lines).encode()
+
+
+@pytest.fixture(scope="module")
+def fuzz_texts(toy_files, tmp_path_factory):
+    pub_path, priv_path = toy_files
+    base = tmp_path_factory.mktemp("fuzz")
+    profile = initialize(m=16, n=32, P=1201, nbar=32, rng=random.Random(5))[0]
+    save(profile, base / "profile.pub")
+    return base, {
+        "pub": Path(pub_path).read_text(),
+        "priv": Path(priv_path).read_text(),
+        "profile": (base / "profile.pub").read_text(),
+        "chp": "CHP 1\np=23\nq=11\nalpha=5\nbeta=7\n",
+        "instance": "s=11\nc=1\nc=2\nc=4\nc=8\n",
+    }
+
+
+def _argv(data, base, texts):
+    """A generated argv for one subcommand; each file it names is a mutant."""
+
+    def file(kind, name):
+        path = base / name
+        path.write_bytes(data.draw(_file(texts[kind])))
+        return str(path)
+
+    def opt(flag, strategy):
+        return [flag, data.draw(strategy)] if data.draw(st.booleans()) else []
+
+    small = st.integers(-3, 50).map(str)
+    cmd = data.draw(st.sampled_from([
+        "hash", "validate", "chp hash", "chp compare", "reform", "attack mitm",
+        "attack birthday", "attack brute", "bench", "keygen",
+    ]))
+    argv = cmd.split()
+    if cmd == "hash":
+        argv += ["--pub", file("pub", "h.pub")]
+        source = data.draw(st.sampled_from(["--msg-bits", "--msg-hex", "--msg-file"]))
+        if source == "--msg-file":
+            (base / "msg").write_bytes(data.draw(st.binary(max_size=8)))
+            argv += [source, str(base / "msg")]
+        else:
+            argv += [source, data.draw(st.text(alphabet="01af x", max_size=12))]
+        argv += opt("--bits", _INTS) + (["--pad"] if data.draw(st.booleans()) else [])
+    elif cmd in ("validate", "attack brute"):
+        argv += ["--pub", file("pub", "v.pub")]
+        if data.draw(st.booleans()):
+            argv += ["--priv", file("priv", "v.priv")]
+    elif cmd == "chp hash":
+        argv += ["--params", file("chp", "c.txt"), "--w1", data.draw(_INTS), "--w2", data.draw(_INTS)]
+    elif cmd == "chp compare":
+        argv += ["--m", data.draw(_INTS), "--n", data.draw(_INTS), "--lgp", data.draw(_INTS)]
+    elif cmd == "reform":
+        argv += ["--profile", file("profile", "r.pub"),
+                 "--digest-hex", data.draw(st.text(alphabet="0123456789abcdefg ", max_size=10))]
+    elif cmd == "attack mitm":
+        argv += ["--instance", file("instance", "i.txt")]
+    elif cmd == "attack birthday":
+        argv += ["--pub", file("pub", "b.pub"), "--mask-bits", data.draw(small),
+                 "--budget", data.draw(small), "--seed", "0"]
+    elif cmd == "bench":
+        argv += ["--pub", file("pub", "x.pub"), "--iters", data.draw(st.integers(-3, 3).map(str)),
+                 "--seed", "0"]
+    else:
+        argv += ["--m", "12", "--n", "8", "--nbar", "8", "--test-mode", "--seed", "0",
+                 "--p-bits", data.draw(_INTS), "--out-pub", str(base / "k.pub"),
+                 "--out-priv", str(base / "k.priv")]
+    if data.draw(st.integers(0, 19)) == 0:
+        argv.append("-h")
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_fuzz_cli_exit_codes(fuzz_texts, data):
+    base, texts = fuzz_texts
+    argv = _argv(data, base, texts)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # -h prints the help and exits 0
+            rc = exc.code
+    assert rc in (0, 1, 2, 3), argv

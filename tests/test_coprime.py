@@ -102,9 +102,9 @@ def test_generate_insufficient_primes():
 
 
 def test_constructor_rejects_duplicates_and_small():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         CoprimeSequence((3, 3, 5))
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         CoprimeSequence((1, 2, 3))
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from juna import numtheory
 from juna.errors import (
-    BadFactorizationError,
     DomainError,
     NotInvertibleError,
     SearchExhaustedError,
@@ -17,12 +16,10 @@ from juna.numtheory import (
     _proves_safe_prime,
     _strong_lucas,
     ceil_lg,
-    find_generator,
     find_safe_prime,
     generator_checks,
     is_probable_prime,
     multiplicative_order_safe,
-    order_at_least,
 )
 from prime_oracle import (
     _strong_probable_prime,
@@ -282,35 +279,21 @@ def test_context_tests_only_the_cofactor(tested):
         tested.clear()
 
 
-def test_find_generator_scan():
-    assert find_generator(ModContext(23, q=11), [2, 11]) == 5
-    assert find_generator(ModContext(7), [2, 3]) == 3
-
-
 def test_generator_checks():
     ctx = ModContext(23, q=11)
     assert not generator_checks(ctx, 2, (2, 11))  # 2^11 = 1 mod 23
     assert generator_checks(ctx, 5, (2, 11))
-    g = find_generator(ctx, [2, 11])
-    assert ctx.mod_pow(g, 22) == 1
-    assert ctx.mod_pow(g, 11) != 1
-    assert ctx.mod_pow(g, 2) != 1
-
-
-def test_find_generator_bad_factorization():
-    with pytest.raises(BadFactorizationError):
-        find_generator(ModContext(23, q=11), [2, 7])
+    assert not generator_checks(ctx, 22, (2, 11))  # -1 has order 2
+    assert ctx.mod_pow(5, 22) == 1
+    assert ctx.mod_pow(5, 11) != 1
+    assert ctx.mod_pow(5, 2) != 1
 
 
 def test_order_safe_prime():
     ctx = ModContext(23, q=11)
     assert multiplicative_order_safe(ctx, 2) == 11
-    assert order_at_least(ctx, 2, 11)
-    assert not order_at_least(ctx, 2, 12)
     assert multiplicative_order_safe(ctx, 22) == 2  # M - 1
-    assert not order_at_least(ctx, 22, 1 << 48)
-    g = find_generator(ctx, [2, 11])
-    assert order_at_least(ctx, g, 22)
+    assert multiplicative_order_safe(ctx, 5) == 22  # a generator
     # brute-force oracle for every element
     for w in range(2, 23):
         t = 1

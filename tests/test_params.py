@@ -28,8 +28,6 @@ from juna.params import (
     bundled_public_params,
     capacity_report,
     certify_collision,
-    check_capacity,
-    find_modulus,
     initialize,
     load,
     omega_magnitudes,
@@ -63,14 +61,14 @@ def test_find_modulus_12bit_against_sieve():
     safe = sieve_safe_primes_12bit()
     assert 2879 in safe  # 2879 = 2*1439 + 1
     for seed in range(5):
-        ctx = find_modulus(12, 8, 8, random.Random(seed))
-        assert ctx.M in safe
-        assert ceil_lg(ctx.M) == 12
+        pub, _ = initialize(m=12, n=8, P=1201, nbar=8, rng=random.Random(seed))
+        assert pub.M in safe
+        assert ceil_lg(pub.M) == 12
 
 
 def test_find_modulus_zero_budget():
     with pytest.raises(SearchExhaustedError):
-        find_modulus(12, 8, 8, random.Random(0), budget=0)
+        initialize(m=12, n=8, P=1201, nbar=8, rng=random.Random(0), budget=0)
 
 
 def test_sample_omega_shape():
@@ -95,9 +93,9 @@ def test_sample_omega_sign_frequency():
 
 
 def test_check_capacity_published_cases():
-    assert check_capacity(80, 80, 80, 1 << 10)
-    assert check_capacity(232, 232, 1 << 32, 1 << 32)
-    assert not check_capacity(232, 8, 8, 1 << 10)
+    assert capacity_report(80, 80, 80, 1 << 10)["main_ok"]
+    assert capacity_report(232, 232, 1 << 32, 1 << 32)["main_ok"]
+    assert not capacity_report(232, 8, 8, 1 << 10)["main_ok"]
     rep = capacity_report(80, 80, 80, 1 << 10)
     assert rep["main_ok"] and rep["main_lg"] > 80
 

@@ -5,15 +5,15 @@ import pytest
 from juna.bitcodec import BitString
 from juna.compress import digest
 from juna.errors import DomainError, LengthMismatchError, ZeroMessageError
-from juna.params import save
-from juna.reform import ReformProfile, build_profile, load_profile, reform_digest
+from juna.params import initialize, save
+from juna.reform import ReformProfile, load_profile, reform_digest
 
 
 @pytest.fixture(scope="module")
 def profile_32():
     # 32-bit underlying hash compressed to 16 bits; stands in for the
     # 128->64 and 160->80 shapes at test scale
-    return build_profile(32, P=1201, nbar=32, rng=random.Random(5))
+    return ReformProfile(initialize(m=16, n=32, P=1201, nbar=32, rng=random.Random(5))[0])
 
 
 def test_profile_width_contract(profile_32):
@@ -53,7 +53,7 @@ def test_profile_file_round_trip(profile_32, tmp_path):
 
 def test_full_width_profile_160_to_80():
     # the shape used to halve a 160-bit classical digest
-    profile = build_profile(160, P=1 << 10, nbar=160, rng=random.Random(8))
+    profile = ReformProfile(initialize(m=80, n=160, P=1 << 10, nbar=160, rng=random.Random(8))[0])
     assert profile.pub.m == 80
     assert profile.pub.n == 160
     assert (profile.pub.M - 1).bit_length() == 80

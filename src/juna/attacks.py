@@ -84,9 +84,7 @@ def parse_instance(data: bytes) -> SubsetSumInstance:
         raise ParseError(str(exc)) from exc
 
 
-def mitm_subset_sum(
-    inst: SubsetSumInstance, cap: int = MITM_CAP
-) -> tuple[int, ...] | None:
+def mitm_subset_sum(inst: SubsetSumInstance) -> tuple[int, ...] | None:
     """Meet-in-the-middle subset sum in O(n * 2^(n/2)).
 
     Tabulate all sums of the first floor(n/2) weights, sort, then for
@@ -96,8 +94,8 @@ def mitm_subset_sum(
     first right-half weight), so the answer is deterministic.
     """
     n = inst.n
-    if n > cap:
-        raise InstanceTooLargeError(f"n = {n} exceeds cap {cap}")
+    if n > MITM_CAP:
+        raise InstanceTooLargeError(f"n = {n} exceeds cap {MITM_CAP}")
     t = n // 2
     left, right = inst.c[:t], inst.c[t:]
 
@@ -202,7 +200,7 @@ class CollisionPair:
     product_is_one: bool
 
 
-def brute_force_collision(pub: PublicParams, cap: int = COLLISION_CAP) -> list[CollisionPair]:
+def brute_force_collision(pub: PublicParams) -> list[CollisionPair]:
     """Hash every nonzero message at toy scale and group by digest.
 
     For each colliding pair the long-shadow difference ydiff is reported
@@ -210,8 +208,8 @@ def brute_force_collision(pub: PublicParams, cap: int = COLLISION_CAP) -> list[C
     multiply to 1, which is the algebraic face of any collision.
     """
     n = pub.n
-    if n > cap:
-        raise InstanceTooLargeError(f"n = {n} exceeds cap {cap}")
+    if n > COLLISION_CAP:
+        raise InstanceTooLargeError(f"n = {n} exceeds cap {COLLISION_CAP}")
     ctx = pub.context()
     groups: dict[int, list[int]] = {}
     for v in range(1, 1 << n):

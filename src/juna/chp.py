@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .errors import DomainError, ParseError
-from .numtheory import ModContext, find_safe_prime, generator_checks
+from .numtheory import ModContext, find_safe_prime, multiplicative_order_safe
 from .params import MAX_M, MAX_N
 
 
@@ -31,11 +31,10 @@ class ChpParams:
         if self.alpha == self.beta:
             raise DomainError("generators must differ")
 
-    def context(self) -> ModContext:
-        ctx = self.__dict__.get("_ctx")
-        if ctx is None:
-            ctx = self.__dict__.setdefault("_ctx", ModContext(self.p, q=self.q))
-        return ctx
+
+def _generates(ctx: ModContext, g: int) -> bool:
+    """Whether g generates the whole group modulo the safe prime ctx.M."""
+    return g % ctx.M != 0 and multiplicative_order_safe(ctx, g) == ctx.M - 1
 
 
 def chp_setup(bits: int, rng, budget: int | None = None) -> ChpParams:
@@ -47,16 +46,13 @@ def chp_setup(bits: int, rng, budget: int | None = None) -> ChpParams:
     if not 5 <= bits <= MAX_BITS:
         raise DomainError(f"need 5 to {MAX_BITS} bits, got {bits}")
     ctx = find_safe_prime(bits, rng, budget=budget)
-    factors = (2, ctx.q)
     found = []
     g = 2
     while len(found) < 2:
-        if generator_checks(ctx, g, factors):
+        if _generates(ctx, g):
             found.append(g)
         g += 1
-    params = ChpParams(p=ctx.M, q=ctx.q, alpha=found[0], beta=found[1])
-    params.__dict__["_ctx"] = ctx
-    return params
+    return ChpParams(p=ctx.M, q=ctx.q, alpha=found[0], beta=found[1])
 
 
 def chp_hash(params: ChpParams, w1: int, w2: int) -> int:
@@ -127,10 +123,7 @@ def parse_chp(text: str) -> ChpParams:
 def validate_chp(params: ChpParams) -> bool:
     """Primality of q and p, from the context, plus both generator checks."""
     try:
-        ctx = params.context()
+        ctx = ModContext(params.p, q=params.q)
     except DomainError:
         return False
-    factors = (2, params.q)
-    return generator_checks(ctx, params.alpha, factors) and generator_checks(
-        ctx, params.beta, factors
-    )
+    return _generates(ctx, params.alpha) and _generates(ctx, params.beta)

@@ -2,9 +2,9 @@
 
 Everything the parameter generator and the compressor need from number
 theory lives here: primality (Baillie-PSW above 3.3 * 10**24, exact below),
-safe-prime search, generator checks, exact orders in safe-prime
-groups, and a ModContext whose every modular multiplication is counted so
-cost claims can be measured rather than asserted.
+safe-prime search, exact orders in safe-prime groups, and a ModContext
+whose every modular multiplication is counted so cost claims can be
+measured rather than asserted.
 """
 
 from __future__ import annotations
@@ -145,18 +145,11 @@ def _proves_safe_prime(M: int) -> bool:
 
 
 def _square_multiply(base: int, exponent: int, M: int) -> tuple[int, int]:
-    """base**exponent mod M for base in [0, M) and exponent >= 1, with the
-    number of multiplications used: one squaring per bit after the leading
-    one, plus one multiplication per further set bit."""
-    result = base
-    muls = 0
-    for bit in bin(exponent)[3:]:
-        result = result * result % M
-        muls += 1
-        if bit == "1":
-            result = result * base % M
-            muls += 1
-    return result, muls
+    """base**exponent mod M for exponent >= 1, by builtin pow, with the number
+    of multiplications that left-to-right binary square-and-multiply uses:
+    one squaring per bit after the leading one, plus one multiplication per
+    further set bit."""
+    return pow(base, exponent, M), exponent.bit_length() + exponent.bit_count() - 2
 
 
 class ModContext:
@@ -185,11 +178,6 @@ class ModContext:
         self._lock = threading.Lock()
 
     @property
-    def m(self) -> int:
-        """Bit length of the modulus, ceil(lg M)."""
-        return ceil_lg(self.M)
-
-    @property
     def mulcount(self) -> int:
         with self._lock:
             return self._count
@@ -203,7 +191,10 @@ class ModContext:
         return a * b % self.M
 
     def mod_pow(self, base: int, exponent: int) -> int:
-        """Left-to-right square-and-multiply; every multiplication counts.
+        """base**exponent mod M by builtin pow, charged what left-to-right
+        binary square-and-multiply would use: bit_length + popcount - 2
+        multiplications for exponent >= 1.  The charge is that model's
+        count, not CPython's internal operation count.
 
         Negative exponents go through the inverse of the base.
         """
@@ -249,16 +240,6 @@ class ModContext:
             return pow(x, -1, self.M)
         except ValueError:
             raise NotInvertibleError(f"{x % self.M} has no inverse modulo {self.M}") from None
-
-
-def generator_checks(ctx: ModContext, g: int, prime_factors) -> bool:
-    """True iff g generates the full group, given the distinct primes
-    dividing M - 1."""
-    g %= ctx.M
-    if g in (0, 1):
-        return False
-    order = ctx.M - 1
-    return all(ctx.mod_pow(g, order // p) != 1 for p in set(prime_factors))
 
 
 def multiplicative_order_safe(ctx: ModContext, w: int) -> int:

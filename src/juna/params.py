@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import coprime
 from .bitcodec import BitString, bit_long_shadow
@@ -22,6 +22,7 @@ from .errors import (
     DomainError,
     InconsistentParamsError,
     LengthMismatchError,
+    NotInvertibleError,
     ParseError,
     SearchExhaustedError,
 )
@@ -40,6 +41,7 @@ TEST_MIN_N = 4
 PROD_MIN_N = 80
 MAX_N = 4096
 MAX_NBAR = 1 << 32
+MAX_REDRAWS = 64
 
 
 @dataclass(frozen=True)
@@ -93,24 +95,12 @@ class PrivateParams:
     delta: int
     A: coprime.CoprimeSequence
     ell: tuple[int, ...]
-    # One sign choice per magnitude 5, 7, ..., 2*nbar+3; not serialized,
-    # so it is absent on parameters read back from a file.
-    omega_signs: tuple[int, ...] | None = field(default=None)
 
     def __post_init__(self):
         if len(self.A) != self.n or len(self.ell) != self.n:
             raise DomainError("basis and exponent table must have n entries")
         if self.nbar < 1:
             raise DomainError("nbar must be positive")
-        if self.omega_signs is not None and len(self.omega_signs) != self.nbar:
-            raise DomainError("need one sign per magnitude")
-
-    def omega(self) -> tuple[int, ...] | None:
-        if self.omega_signs is None:
-            return None
-        return tuple(
-            s * mag for s, mag in zip(self.omega_signs, omega_magnitudes(self.nbar))
-        )
 
 
 def omega_magnitudes(nbar: int) -> range:
@@ -182,7 +172,6 @@ def initialize(
     rng,
     production: bool = False,
     budget: int | None = None,
-    max_redraws: int = 64,
 ) -> tuple[PublicParams, PrivateParams]:
     """Run the full initialization: basis, modulus, blinding, exponents.
 
@@ -196,7 +185,7 @@ def initialize(
     ctx = find_safe_prime(m, rng, budget=budget)
     M = ctx.M
     order_bound = 1 << (m - ceil_lg(P))
-    for _ in range(max_redraws):
+    for _ in range(MAX_REDRAWS):
         while True:
             W = rng.randrange(2, M - 1)
             if multiplicative_order_safe(ctx, W) >= order_bound:
@@ -205,27 +194,14 @@ def initialize(
             delta = rng.randrange(2, M - 1)
             if math.gcd(delta, M - 1) == 1:
                 break
-        omega = sample_omega(nbar, rng)
-        ell = tuple(rng.sample(omega, n))
+        ell = tuple(rng.sample(sample_omega(nbar, rng), n))
         C = _compute_initial_values(ctx, A, ell, W, delta)
         if len(set(C)) == n and all(1 < c < M for c in C):
             break
     else:
         raise SearchExhaustedError("could not avoid duplicate initial values")
     pub = PublicParams(m=m, n=n, M=M, C=C)
-    pub.__dict__["_ctx"] = ctx
-    priv = PrivateParams(
-        m=m,
-        n=n,
-        M=M,
-        P=P,
-        nbar=nbar,
-        W=W,
-        delta=delta,
-        A=A,
-        ell=ell,
-        omega_signs=tuple(1 if x > 0 else -1 for x in omega),
-    )
+    priv = PrivateParams(m=m, n=n, M=M, P=P, nbar=nbar, W=W, delta=delta, A=A, ell=ell)
     return pub, priv
 
 
@@ -345,12 +321,12 @@ def validate(
             "lever_one_sign_per_magnitude",
             len({abs(l) for l in priv.ell}) == n,
         )
-        if priv.omega_signs is not None:
-            omega = set(priv.omega())
-            add("lever_in_omega", all(l in omega for l in priv.ell))
         add("delta_invertible", math.gcd(priv.delta, M - 1) == 1)
-        add("blinder_in_range", 1 < priv.W < M - 1)
-        if q_prime and ctx is not None:
+        in_range = 1 < priv.W < M - 1
+        add("blinder_in_range", in_range)
+        if not in_range:
+            add("blinder_order", False, "W outside (1, M - 1)")
+        elif q_prime and ctx is not None:
             shift = m - ceil_lg(priv.P)
             order = multiplicative_order_safe(ctx, priv.W)
             add(
@@ -368,8 +344,11 @@ def validate(
         if ctx is None:
             add("initial_values_consistent", False, "modulus is not prime")
         else:
-            regen = _compute_initial_values(ctx, priv.A, priv.ell, priv.W, priv.delta)
-            add("initial_values_consistent", regen == pub.C)
+            try:
+                regen = _compute_initial_values(ctx, priv.A, priv.ell, priv.W, priv.delta)
+                add("initial_values_consistent", regen == pub.C)
+            except NotInvertibleError as exc:
+                add("initial_values_consistent", False, str(exc))
         cap = capacity_report(m, n, priv.nbar, priv.P)
         add(
             "capacity",
@@ -407,12 +386,7 @@ def certify_collision(
 ) -> CollisionCertificate:
     """Decide digest equality from the private side, without hashing."""
     ctx = pub.context()
-    # the regenerated C depends only on priv, so cache it there
-    regen = priv.__dict__.get("_regen_C")
-    if regen is None or priv.__dict__.get("_regen_M") != pub.M:
-        regen = _compute_initial_values(ctx, priv.A, priv.ell, priv.W, priv.delta)
-        priv.__dict__["_regen_C"] = regen
-        priv.__dict__["_regen_M"] = pub.M
+    regen = _compute_initial_values(ctx, priv.A, priv.ell, priv.W, priv.delta)
     if regen != pub.C or (priv.m, priv.n, priv.M) != (pub.m, pub.n, pub.M):
         raise InconsistentParamsError("private side does not regenerate public side")
     if len(msg1) != pub.n or len(msg2) != pub.n:

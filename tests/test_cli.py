@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import random
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from juna.bitcodec import BitString
 from juna.cli import main
 from juna.compress import digest
-from juna.params import bundled_public_params, initialize, save
+from juna.params import bundled_public_params, initialize, load, save
 
 REFERENCE_MSG_HEX = "f3f49249dc28ff90a5aec7978306d03bf38b2ffc80a4df5a51c9bc701e7ea419"
 REFERENCE_DIGEST = "0ea2759806423903744c"
@@ -409,6 +410,25 @@ def test_validate_priv_with_repeated_basis_value_is_parse_error(toy_files, tmp_p
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == "error: elements must be pairwise distinct\n"
+
+
+@pytest.mark.parametrize("multiple", [0, 1, 2])
+def test_validate_priv_with_blinder_zero_mod_m_reports_every_check(
+    multiple, toy_files, tmp_path, capsys
+):
+    pub_path, priv_path = toy_files
+    assert main(["validate", "--pub", pub_path, "--priv", priv_path]) == 0
+    names = [line.split()[1] for line in capsys.readouterr().out.splitlines()]
+    priv = load(priv_path)
+    bad = tmp_path / "w.priv"
+    save(dataclasses.replace(priv, W=multiple * priv.M), bad)
+    assert main(["validate", "--pub", pub_path, "--priv", str(bad)]) == 2
+    out = capsys.readouterr()
+    assert out.err == ""
+    lines = out.out.splitlines()
+    assert [line.split()[1] for line in lines] == names
+    failing = {line.split()[1] for line in lines if line.startswith("FAIL")}
+    assert failing == {"blinder_in_range", "blinder_order", "initial_values_consistent"}
 
 
 def test_validate_priv_with_wide_prime_bound_or_zero_nbar(toy_files, tmp_path, capsys):

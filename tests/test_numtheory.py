@@ -4,6 +4,7 @@ import random
 import pytest
 
 from juna import numtheory
+from juna.chp import _generates
 from juna.errors import (
     DomainError,
     NotInvertibleError,
@@ -14,13 +15,14 @@ from juna.numtheory import (
     ModContext,
     _miller_rabin,
     _proves_safe_prime,
+    _square_multiply,
     _strong_lucas,
     ceil_lg,
     find_safe_prime,
-    generator_checks,
     is_probable_prime,
     multiplicative_order_safe,
 )
+from compress_oracle import square_multiply_oracle
 from prime_oracle import (
     _strong_probable_prime,
     composite_safe_form,
@@ -217,6 +219,28 @@ def test_multi_pow_agrees_with_pow_and_counts_once():
         ctx.multi_pow([(3, 2), (5, -1)])
 
 
+# A 232-bit safe prime, the modulus of keygen at seed 4096, --m 232.
+_M232 = 4997464105296651671487586932735032660345060982367994914078607644897439
+
+
+def test_square_multiply_matches_loop_oracle():
+    # builtin pow plus bit_length + popcount - 2 is the loop's value and count
+    M80 = REFERENCE_M
+    base = 394375509141369037703184
+    for e in range(1, 4097):
+        assert _square_multiply(base, e, M80) == square_multiply_oracle(base, e, M80), e
+    rng = random.Random(232)
+    for M in (M80, _M232):
+        ctx = ModContext(M, q=(M - 1) // 2)
+        for _ in range(200):
+            b, e = rng.randrange(M), rng.randrange(1, 1 << 232)
+            value, muls = square_multiply_oracle(b, e, M)
+            assert _square_multiply(b, e, M) == (value, muls)
+            before = ctx.mulcount
+            assert ctx.mod_pow(b, e) == value
+            assert ctx.mulcount - before == muls
+
+
 def test_mod_inverse_errors():
     ctx = ModContext(23, q=11)
     with pytest.raises(NotInvertibleError):
@@ -280,10 +304,11 @@ def test_context_tests_only_the_cofactor(tested):
 
 
 def test_generator_checks():
+    # the comparison hash's test, order M - 1, against the powers of each g
     ctx = ModContext(23, q=11)
-    assert not generator_checks(ctx, 2, (2, 11))  # 2^11 = 1 mod 23
-    assert generator_checks(ctx, 5, (2, 11))
-    assert not generator_checks(ctx, 22, (2, 11))  # -1 has order 2
+    generators = {g for g in range(23) if len({pow(g, k, 23) for k in range(22)}) == 22}
+    assert {g for g in range(46) if _generates(ctx, g)} == generators | {g + 23 for g in generators}
+    assert not {2, 22} & generators  # 2^11 = 1 mod 23, and -1 has order 2
     assert ctx.mod_pow(5, 22) == 1
     assert ctx.mod_pow(5, 11) != 1
     assert ctx.mod_pow(5, 2) != 1

@@ -170,9 +170,15 @@ def test_serialize_round_trip(toy_pub, toy_priv):
     assert parse(serialize(toy_pub)) == toy_pub
     back = parse(serialize(toy_priv))
     assert isinstance(back, PrivateParams)
-    assert back.W == toy_priv.W and back.ell == toy_priv.ell
-    assert back.omega_signs is None  # sign table is not serialized
+    assert back == toy_priv
     assert serialize(back) == serialize(toy_priv)
+
+
+def test_validate_report_same_for_generated_and_parsed_private_side(toy_pub, toy_priv):
+    # the audit reads nothing that a private file does not carry
+    lines = validate(toy_pub, toy_priv).lines()
+    assert validate(toy_pub, parse(serialize(toy_priv))).lines() == lines
+    assert validate(parse(serialize(toy_pub)), parse(serialize(toy_priv))).lines() == lines
 
 
 def test_parse_errors():

@@ -43,6 +43,9 @@ _SMALL_PRIMES = tuple(itertools.compress(itertools.count(), _sieve(2000)))
 _SMALL_PRIME_SET = frozenset(_SMALL_PRIMES)
 # One gcd against the product of the small primes is the trial division.
 _PRIMORIAL = math.prod(_SMALL_PRIMES)
+# Below the first bound the product of the primes up to 47 does it instead:
+# under 2**60, both gcd operands fit CPython's two-digit fast path.
+_WORD_PRIMORIAL = math.prod(_SMALL_PRIMES[:15])
 
 # (bound, bases): below each bound the base set is a proven-deterministic
 # test (Jaeschke 1993; Sorenson and Webster 2015 for the last).
@@ -118,8 +121,9 @@ def _strong_lucas(n: int) -> bool:
 
 
 def is_probable_prime(x: int) -> bool:
-    """Whether x >= 2 is prime: trial division by the primes below 2000,
-    Miller-Rabin with bases proven deterministic below 3.3 * 10**24, and
+    """Whether x >= 2 is prime: trial division by the primes up to 47 below
+    4 759 123 141 and by those below 2000 above it, then Miller-Rabin with
+    bases proven deterministic below 3.3 * 10**24, and
     Baillie-PSW above (Baillie and Wagstaff, Math. Comp. 1980).  No composite
     is known to pass Baillie-PSW and none exists below 2**64; unlike for
     Miller-Rabin to bases known in advance, no way to build one is known
@@ -128,7 +132,8 @@ def is_probable_prime(x: int) -> bool:
         raise DomainError("primality is asked of integers >= 2")
     if x <= _SMALL_PRIMES[-1]:
         return x in _SMALL_PRIME_SET
-    if math.gcd(x, _PRIMORIAL) != 1:
+    small = x < _DETERMINISTIC_BASES[0][0]
+    if math.gcd(x, _WORD_PRIMORIAL if small else _PRIMORIAL) != 1:
         return False
     for bound, bases in _DETERMINISTIC_BASES:
         if x < bound:
@@ -150,6 +155,10 @@ def _square_multiply(base: int, exponent: int, M: int) -> tuple[int, int]:
     one squaring per bit after the leading one, plus one multiplication per
     further set bit."""
     return pow(base, exponent, M), exponent.bit_length() + exponent.bit_count() - 2
+
+
+# Window width, in exponent bits, of ModContext.bit_products.
+_WINDOW = 8
 
 
 class ModContext:
@@ -234,6 +243,50 @@ class ModContext:
             muls += k + 2
         self._tick(muls)
         return acc
+
+    def bit_products(self, pairs, bits: int) -> tuple[int, list[int]]:
+        """For (base, exponent) pairs with exponents in [0, 2**bits): the
+        product of base**exponent mod M, and for each bit k the product of
+        the bases whose exponent has bit k set.
+
+        Pippenger's method with 8-bit windows: per window each base goes
+        into the bucket of its digit there; a running product walked down
+        the digits gives the window's sum, and each further window costs 8
+        squarings.  The per-bit products are products of buckets.  Every
+        multiplication done is ticked, once per call.
+        """
+        M = self.M
+        mask = (1 << _WINDOW) - 1
+        shifts = range(0, bits, _WINDOW)
+        digits = range(mask, 0, -1)
+        buckets = [[1] * (1 << _WINDOW) for _ in shifts]
+        muls = 0
+        for base, e in pairs:
+            for bucket, shift in zip(buckets, shifts):
+                d = e >> shift & mask
+                if d:
+                    bucket[d] = bucket[d] * base % M
+                    muls += 1
+        acc = 1
+        for bucket in reversed(buckets):
+            running = window = 1
+            for d in digits:
+                running = running * bucket[d] % M
+                window = window * running % M
+            acc, k = _square_multiply(acc, 1 << _WINDOW, M)
+            acc = acc * window % M
+            muls += 2 * len(digits) + k + 1
+        per_bit = []
+        for bucket in buckets:
+            for j in range(_WINDOW):
+                s = 1
+                for d in digits:
+                    if d >> j & 1:
+                        s = s * bucket[d] % M
+                per_bit.append(s)
+        muls += len(per_bit) << (_WINDOW - 1)  # half the digits have bit j set
+        self._tick(muls)
+        return acc, per_bit[:bits]
 
     def mod_inverse(self, x: int) -> int:
         try:

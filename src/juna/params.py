@@ -11,8 +11,11 @@ hashing.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import re
+import secrets
 from dataclasses import dataclass
 
 from . import coprime
@@ -28,6 +31,7 @@ from .errors import (
 )
 from .numtheory import (
     ModContext,
+    _jacobi,
     ceil_lg,
     find_safe_prime,
     is_probable_prime,
@@ -264,6 +268,77 @@ def _cofactor_structure(q: int, bound: int) -> tuple[bool, str]:
     return True, f"no prime factor of (M-1)/2 up to {bound}"
 
 
+# Bits of each random exponent r_i of the batch test of the initial values.
+BATCH_BITS = 64
+
+
+def _batch_rounds(q: int) -> int:
+    """Rounds of the batch test that bring its miss probability to 2**-BATCH_BITS.
+
+    A round passes a wrong C_j only if r_j falls in one residue class mod q
+    (or mod 4 or 2 when q = 2, where the group is cyclic of order 4), which
+    at most ceil(2**BATCH_BITS / q) of the 2**BATCH_BITS values do.
+    """
+    per_class = -(-(1 << BATCH_BITS) // q)
+    rounds = 1
+    while per_class**rounds > 1 << (BATCH_BITS * (rounds - 1)):
+        rounds += 1
+    return rounds
+
+
+def _batch_consistent(ctx, C, priv, r) -> bool:
+    """One round of the small-exponents batch test (Bellare, Garay and Rabin,
+    Eurocrypt 1998) of C_i = (A_i * W**ell_i)**delta mod M, for exponents r_i
+    in [0, 2**BATCH_BITS):
+
+        prod C_i**r_i = (prod A_i**r_i * W**(sum r_i * ell_i))**delta.
+
+    Modulo a safe prime M = 2q + 1 with q odd the group is Z_2 x Z_q, and the
+    product sees the Z_2 part of a wrong C_j only when r_j is odd.  So for
+    each bit k, the Legendre symbols of the products S_k of the C_i and T_k
+    of the A_i whose r_i has bit k set must also agree:
+    (S_k/M) = ((T_k/M) * (W/M)**(sum of ell_i over that subset))**delta.
+    """
+    M = ctx.M
+    lhs, S = ctx.bit_products(zip(C, r), BATCH_BITS)
+    t, T = ctx.bit_products(zip(priv.A, r), BATCH_BITS)
+    w = ctx.mod_pow(priv.W, sum(x * l for x, l in zip(r, priv.ell)))
+    if lhs != ctx.mod_pow(ctx.mod_mul(t, w), priv.delta):
+        return False
+    # bit k of odd is the parity of the sum of ell_i over subset k
+    odd = functools.reduce(operator.xor, (x for x, l in zip(r, priv.ell) if l % 2), 0)
+    chi_w = _jacobi(priv.W, M)
+    return all(
+        _jacobi(s, M) == (_jacobi(t, M) * chi_w ** (odd >> k & 1)) ** (priv.delta % 2)
+        for k, (s, t) in enumerate(zip(S, T))
+    )
+
+
+def _initial_values_consistent(ctx, pub, priv) -> tuple[bool, str]:
+    """Whether the private side gives pub.C, and the detail line.
+
+    With M a safe prime and every C_i, A_i and W a unit mod M, this is the
+    batch test with fresh exponents from `secrets`, repeated _batch_rounds(q)
+    times; it passes wrong initial values with probability at most
+    2**-BATCH_BITS.  Otherwise the values are recomputed exactly.
+    """
+    M, q = ctx.M, ctx.q
+    in_group = (
+        len(pub.C) == len(priv.A)
+        and all(0 < c < M for c in pub.C)
+        and all(a % M for a in priv.A)
+        and priv.W % M
+    )
+    if q is None or not in_group:
+        return _compute_initial_values(ctx, priv.A, priv.ell, priv.W, priv.delta) == pub.C, ""
+    rounds = _batch_rounds(q)
+    ok = all(
+        _batch_consistent(ctx, pub.C, priv, [secrets.randbits(BATCH_BITS) for _ in pub.C])
+        for _ in range(rounds)
+    )
+    return ok, f"batch test, {rounds} round{'s' * (rounds > 1)}, miss probability at most 2^-{BATCH_BITS}"
+
+
 def validate(
     pub: PublicParams,
     priv: PrivateParams | None = None,
@@ -275,7 +350,8 @@ def validate(
     cofactor requirement accepts either branch: (M-1)/2 prime, or no prime
     factor of it up to 4n(2*nbar+3), searched no further than
     COFACTOR_SEARCH_LIMIT.  nbar defaults to n when only the public side
-    is in hand.
+    is in hand.  With the private side, initial_values_consistent is the
+    batch test of _initial_values_consistent when (M-1)/2 is prime.
     """
     checks: list[CheckResult] = []
 
@@ -309,7 +385,10 @@ def validate(
             (priv.m, priv.n, priv.M) == (m, n, M),
             f"priv carries m={priv.m}, n={priv.n}",
         )
-        add("basis_admissible", coprime.verify(priv.A))
+        try:
+            add("basis_admissible", coprime.verify(priv.A))
+        except SearchExhaustedError as exc:
+            add("basis_admissible", False, str(exc))
         add("basis_in_bound", all(2 <= a <= priv.P for a in priv.A))
         add("nbar_range", n <= priv.nbar <= MAX_NBAR, f"nbar = {priv.nbar}")
         mags_ok = all(
@@ -345,8 +424,7 @@ def validate(
             add("initial_values_consistent", False, "modulus is not prime")
         else:
             try:
-                regen = _compute_initial_values(ctx, priv.A, priv.ell, priv.W, priv.delta)
-                add("initial_values_consistent", regen == pub.C)
+                add("initial_values_consistent", *_initial_values_consistent(ctx, pub, priv))
             except NotInvertibleError as exc:
                 add("initial_values_consistent", False, str(exc))
         cap = capacity_report(m, n, priv.nbar, priv.P)

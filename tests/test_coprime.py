@@ -11,7 +11,12 @@ from juna.coprime import (
     subset_product,
     verify,
 )
-from juna.errors import DomainError, InsufficientPrimesError, LengthMismatchError
+from juna.errors import (
+    DomainError,
+    InsufficientPrimesError,
+    LengthMismatchError,
+    SearchExhaustedError,
+)
 
 
 def test_published_sequences_verify():
@@ -84,6 +89,41 @@ def test_first_violation_matches_pair_scan():
         violations += got is not None
     # both outcomes of a planted shared factor occur
     assert 0 < violations < planted
+
+
+def test_first_violation_matches_pair_scan_across_blocks():
+    # 64 elements make a block of the coprimality pass; plant shared factors
+    # inside one block, across blocks, and at both ends
+    rng = random.Random(5)
+    primes = [p for p in range(401, 20000) if all(p % d for d in range(2, int(p**0.5) + 1))]
+    outcomes = set()
+    for _ in range(40):
+        n = rng.randint(65, 200)
+        a = rng.sample(primes, n)
+        assert first_violation(CoprimeSequence(tuple(a))) is None
+        for i, j in [rng.sample(range(n), 2), (0, n - 1), (63, 64)][: rng.randint(1, 3)]:
+            f = rng.choice(_PRIMES[:12])
+            a[i] *= f
+            # A_j/F = A_k divides A_k, a violation, when A_j is f * A_k
+            a[j] = f * (a[rng.randrange(n)] if rng.random() < 0.3 else a[j])
+        if len(set(a)) < n:
+            continue
+        got = first_violation(CoprimeSequence(tuple(a)))
+        assert got == _pair_scan(a), a
+        outcomes.add(got is None)
+    assert outcomes == {True, False}
+
+
+def test_pair_scan_on_shared_factor_basis_is_bounded():
+    # A_i = 2 * p_i: every pair shares 2 and the basis is admissible, which
+    # the cubic pair scan took hours to find at n = 4096
+    odd_primes = [p for p in range(3, 1 << 16) if all(p % d for d in range(2, int(p**0.5) + 1))]
+    for n in (64, 256):
+        seq = CoprimeSequence(tuple(2 * p for p in odd_primes[:n]))
+        assert first_violation(seq) is None
+    seq = CoprimeSequence(tuple(2 * p for p in odd_primes[:4096]))
+    with pytest.raises(SearchExhaustedError, match="undetermined: pair scan stopped"):
+        verify(seq)
 
 
 def test_generate_respects_bound_and_seed():

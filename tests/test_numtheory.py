@@ -71,8 +71,8 @@ def test_is_probable_prime_reference_modulus():
 
 
 def test_is_probable_prime_agrees_with_sieve():
-    flags = _sieve_flags(9_999)
-    for x in range(2, 10_000):
+    flags = _sieve_flags(10**5)
+    for x in range(2, 10**5):
         assert is_probable_prime(x) == bool(flags[x]), x
 
 
@@ -91,6 +91,13 @@ def test_is_probable_prime_same_verdict_as_plain():
     for x in [*range(2, 5001), *sample, *around_tiers, *_STRONG_PSEUDOPRIMES]:
         assert is_probable_prime(x) == is_probable_prime_plain(x), x
     assert not any(is_probable_prime(x) for x in _STRONG_PSEUDOPRIMES)
+
+
+def test_is_probable_prime_same_verdict_as_plain_on_32_bit_values():
+    # below 4 759 123 141 the trial division is one gcd with the primes up to 47
+    rng = random.Random(32)
+    for x in (rng.randrange(2, 1 << 32) for _ in range(10**5)):
+        assert is_probable_prime(x) == is_probable_prime_plain(x), x
 
 
 @pytest.fixture(scope="module")
@@ -217,6 +224,37 @@ def test_multi_pow_agrees_with_pow_and_counts_once():
         assert ctx.mulcount - before <= max(sum(e for _, e in pairs) - 1, 0)
     with pytest.raises(DomainError):
         ctx.multi_pow([(3, 2), (5, -1)])
+
+
+def _bits_of_exponents(pairs, bits, M):
+    """The per-bit subset products, one base at a time."""
+    out = []
+    for k in range(bits):
+        s = 1
+        for base, e in pairs:
+            if e >> k & 1:
+                s = s * base % M
+        out.append(s)
+    return out
+
+
+@pytest.mark.parametrize("M, bits", [(1019, 64), (1019, 13), (REFERENCE_M, 64), (REFERENCE_M, 1)])
+def test_bit_products_agree_with_pow(M, bits):
+    ctx = ModContext(M, q=(M - 1) // 2)
+    rng = random.Random(bits)
+    for size in (0, 1, 7, 300):
+        pairs = [(rng.randrange(1, M), rng.getrandbits(bits)) for _ in range(size)]
+        expected = 1
+        for base, e in pairs:
+            expected = expected * pow(base, e, M) % M
+        before = ctx.mulcount
+        product, per_bit = ctx.bit_products(pairs, bits)
+        assert product == expected
+        assert per_bit == _bits_of_exponents(pairs, bits, M)
+        # each nonzero 8-bit digit, the bucket sums, 8 squarings per window, the subsets
+        windows = -(-bits // 8)
+        digits = sum(1 for _, e in pairs for s in range(0, bits, 8) if e >> s & 255)
+        assert ctx.mulcount - before == digits + windows * (2 * 255 + 8 + 1) + windows * 8 * 128
 
 
 # A 232-bit safe prime, the modulus of keygen at seed 4096, --m 232.

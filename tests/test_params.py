@@ -16,7 +16,7 @@ from juna.errors import (
     ParseError,
     SearchExhaustedError,
 )
-from juna.numtheory import ceil_lg, is_probable_prime
+from juna.numtheory import ModContext, ceil_lg, is_probable_prime
 from juna.params import (
     MAX_FILE_BYTES,
     MAX_INT_DIGITS,
@@ -507,3 +507,179 @@ def test_parse_takes_signed_values_on_l_lines_only():
         assert _parse_outcome(parse, text) == _parse_outcome(parse_line_by_line, text)
     assert parse(last_l + "L=-0").ell[-1] == 0
     assert parse(priv_text.replace("L=-11\n", f"L=-{'9' * 70}\n")).ell[-1] == -(10**70 - 1)
+
+
+# ---------------------------------------------------------------------------
+# The batch test behind the audit's initial_values_consistent check.
+
+
+@pytest.fixture(scope="module")
+def pair80():
+    """A pair whose cofactor q exceeds 2**64, so one batch round suffices."""
+    return initialize(m=80, n=32, P=1201, nbar=32, rng=random.Random(80))
+
+
+def _mutations(pub, priv):
+    """(name, C, priv) for each wrong private/public pairing the test must catch."""
+    M, C = pub.M, list(pub.C)
+    times_order_q = C[:]
+    times_order_q[3] = C[3] * 4 % M  # 4 = 2**2 has order q
+    negated = C[:]
+    negated[5] = M - C[5]
+    swapped = C[:]
+    swapped[1], swapped[6] = C[6], C[1]
+    flipped = list(priv.ell)
+    flipped[2] = -flipped[2]
+    return [
+        ("times an element of order q", times_order_q, priv),
+        ("negated", negated, priv),
+        ("swapped", swapped, priv),
+        ("ell sign flipped", C, dataclasses.replace(priv, ell=tuple(flipped))),
+    ]
+
+
+@pytest.mark.parametrize("fixture", ["pair80", "toy_pair"])
+def test_batch_test_catches_each_mutation(fixture, request):
+    pub, priv = request.getfixturevalue(fixture)
+    ctx = pub.context()
+    rng = random.Random(9)
+    assert params._initial_values_consistent(ctx, pub, priv)[0]
+    for name, C, bad_priv in _mutations(pub, priv):
+        bad_pub = dataclasses.replace(pub, C=tuple(C))
+        # the full audit, with exponents from secrets
+        ok, detail = params._initial_values_consistent(ctx, bad_pub, bad_priv)
+        assert not ok and detail.startswith("batch test"), name
+        assert "FAIL initial_values_consistent" in " ".join(validate(bad_pub, bad_priv).lines())
+        if fixture == "pair80":  # one round, with exponents the test picks
+            for _ in range(5):
+                r = [rng.getrandbits(params.BATCH_BITS) for _ in C]
+                assert not params._batch_consistent(ctx, C, bad_priv, r), name
+                assert params._batch_consistent(ctx, pub.C, priv, r)
+
+
+def _product_test_holds(pub, priv, C, r):
+    """The product equation of the batch test alone, by builtin pow."""
+    M = pub.M
+    lhs = rhs = 1
+    for c, a, x in zip(C, priv.A, r):
+        lhs = lhs * pow(c, x, M) % M
+        rhs = rhs * pow(a, x, M) % M
+    w = pow(priv.W, sum(x * l for x, l in zip(r, priv.ell)), M)
+    return lhs == pow(rhs * w % M, priv.delta, M)
+
+
+def test_negated_value_with_even_exponent_is_caught_by_legendre_part(pair80):
+    pub, priv = pair80
+    ctx = pub.context()
+    rng = random.Random(10)
+    C = list(pub.C)
+    C[5] = pub.M - C[5]
+    for _ in range(5):
+        r = [rng.getrandbits(params.BATCH_BITS) for _ in C]
+        r[5] &= ~1  # even: (-1)**r_5 = 1, so the product test cannot see it
+        assert _product_test_holds(pub, priv, C, r)
+        assert not params._batch_consistent(ctx, C, priv, r)
+    # the product test does see it when r_5 is odd
+    r[5] |= 1
+    assert not _product_test_holds(pub, priv, C, r)
+
+
+def test_one_round_is_not_enough_at_m12(toy_pair):
+    pub, priv = toy_pair
+    q = (pub.M - 1) // 2
+    assert pub.m == 12 and q < 1 << 64
+    # r_3 a multiple of q hides the order-q factor from one round
+    C = list(pub.C)
+    C[3] = C[3] * 4 % pub.M
+    r = [random.Random(i).getrandbits(params.BATCH_BITS) for i in range(len(C))]
+    r[3] = 2 * q
+    assert params._batch_consistent(pub.context(), C, priv, r)
+    # so a round misses with probability about 1/q, and the audit repeats it
+    rounds = params._batch_rounds(q)
+    per_class = -(-(1 << params.BATCH_BITS) // q)
+    assert rounds > 1
+    assert per_class**rounds <= 1 << (params.BATCH_BITS * (rounds - 1))
+    assert per_class ** (rounds - 1) > 1 << (params.BATCH_BITS * (rounds - 2))
+    line = f"PASS initial_values_consistent (batch test, {rounds} rounds, "
+    assert line + "miss probability at most 2^-64)" in validate(pub, priv).lines()
+
+
+def test_batch_rounds():
+    assert params._batch_rounds(3) == 41
+    assert params._batch_rounds(1229) == 7
+    assert params._batch_rounds((1 << 64) + 13) == 1
+    assert params._batch_rounds(2498732052648325835743793466367516330172530491183997457039303822448719) == 1
+
+
+def test_validate_lines_repeat_exactly(toy_pub, toy_priv, pair80):
+    # the exponents are fresh on every call, and the report never shows them
+    for pub, priv in ((toy_pub, toy_priv), pair80):
+        lines = validate(pub, priv).lines()
+        assert all(validate(pub, priv).lines() == lines for _ in range(3))
+        assert validate(parse(serialize(pub)), parse(serialize(priv))).lines() == lines
+
+
+def test_batch_test_charges_the_context(pair80):
+    pub, priv = pair80
+    ctx = pub.context()
+    before = ctx.mulcount
+    params._initial_values_consistent(ctx, pub, priv)
+    assert ctx.mulcount > before
+
+
+def test_values_outside_the_group_are_recomputed_exactly(toy_pub, toy_priv):
+    # C_i = c + M is c modulo M: the batch test would pass it, exact comparison does not
+    C = list(toy_pub.C)
+    C[0] += toy_pub.M
+    bad = PublicParams(m=toy_pub.m + 1, n=toy_pub.n, M=toy_pub.M, C=tuple(C))
+    assert params._initial_values_consistent(bad.context(), bad, toy_priv) == (False, "")
+
+
+def test_modulus_without_prime_cofactor_keeps_exact_recomputation(toy_priv):
+    M = 2069  # prime, and (M - 1)/2 = 1034 is not
+    priv = dataclasses.replace(toy_priv, M=M)
+    ctx = ModContext(M)
+    C = params._compute_initial_values(ctx, priv.A, priv.ell, priv.W, priv.delta)
+    pub = PublicParams(m=12, n=priv.n, M=M, C=C)
+    assert pub.context().q is None
+    assert "PASS initial_values_consistent" in validate(pub, priv).lines()
+    bad = dataclasses.replace(pub, C=(C[1], C[0]) + C[2:])
+    assert "FAIL initial_values_consistent" in validate(bad, priv).lines()
+
+
+def test_validate_reports_undetermined_pair_scan(toy_priv):
+    # A_i = 2 * p_i at n = 4096: admissible, but past the pair scan's work limit
+    n = 4096
+    odd_primes = [p for p in range(3, 1 << 16) if is_probable_prime(p)][:n]
+    A = coprime.CoprimeSequence(tuple(2 * p for p in odd_primes), bound=1 << 17)
+    ell = tuple(range(5, 5 + 2 * n, 2))
+    priv = dataclasses.replace(toy_priv, n=n, P=1 << 17, nbar=n, A=A, ell=ell)
+    pub = PublicParams(m=12, n=n, M=toy_priv.M, C=tuple(range(2, n + 2)))
+    lines = validate(pub, priv).lines()
+    (line,) = [l for l in lines if " basis_admissible " in l]
+    assert line.startswith("FAIL basis_admissible (undetermined: pair scan stopped at the work limit")
+
+
+def test_batch_test_modulo_5(toy_priv):
+    # M = 5, q = 2: the group is cyclic of order 4, and 64 rounds bound the miss
+    A = coprime.CoprimeSequence((2, 3, 7, 11))
+    priv = dataclasses.replace(toy_priv, m=3, n=4, M=5, P=11, nbar=4, W=2, delta=3, A=A, ell=(5, -7, 9, 11))
+    C = params._compute_initial_values(ModContext(5), A, priv.ell, priv.W, priv.delta)
+    pub = PublicParams(m=3, n=4, M=5, C=C)
+    assert params._initial_values_consistent(pub.context(), pub, priv) == (
+        True, "batch test, 64 rounds, miss probability at most 2^-64")
+    negated = dataclasses.replace(pub, C=(5 - C[0],) + C[1:])
+    for _ in range(20):
+        assert not params._initial_values_consistent(pub.context(), negated, priv)[0]
+
+
+def test_batch_test_passes_consistent_values_with_even_delta(toy_priv):
+    # delta_invertible fails, but the values the private side gives still match:
+    # then every C_i is a square, and the Legendre part expects +1 throughout
+    priv = dataclasses.replace(toy_priv, delta=toy_priv.delta + 1)
+    ctx = ModContext(priv.M, q=(priv.M - 1) // 2)
+    C = params._compute_initial_values(ctx, priv.A, priv.ell, priv.W, priv.delta)
+    pub = PublicParams(m=12, n=priv.n, M=priv.M, C=C)
+    lines = validate(pub, priv).lines()
+    assert "FAIL delta_invertible" in lines
+    assert any(l.startswith("PASS initial_values_consistent (batch test") for l in lines)

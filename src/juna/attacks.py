@@ -84,6 +84,15 @@ def parse_instance(data: bytes) -> SubsetSumInstance:
         raise ParseError(str(exc)) from exc
 
 
+def _subset_sums(weights) -> list[int]:
+    """The sum of every subset of weights, at the index whose bit j says
+    whether weights[j] is in it."""
+    sums = [0]
+    for w in weights:
+        sums += [x + w for x in sums]
+    return sums
+
+
 def mitm_subset_sum(inst: SubsetSumInstance) -> tuple[int, ...] | None:
     """Meet-in-the-middle subset sum in O(n * 2^(n/2)).
 
@@ -97,27 +106,10 @@ def mitm_subset_sum(inst: SubsetSumInstance) -> tuple[int, ...] | None:
     if n > MITM_CAP:
         raise InstanceTooLargeError(f"n = {n} exceeds cap {MITM_CAP}")
     t = n // 2
-    left, right = inst.c[:t], inst.c[t:]
-
-    table = []
-    for mask in range(1 << t):
-        total = 0
-        mm = mask
-        while mm:
-            low = mm & -mm
-            total += left[low.bit_length() - 1]
-            mm ^= low
-        table.append((total, mask))
-    table.sort()
+    table = sorted(zip(_subset_sums(inst.c[:t]), range(1 << t)))
     sums = [e[0] for e in table]
 
-    for rmask in range(1 << (n - t)):
-        total = 0
-        mm = rmask
-        while mm:
-            low = mm & -mm
-            total += right[low.bit_length() - 1]
-            mm ^= low
+    for rmask, total in enumerate(_subset_sums(inst.c[t:])):
         r = inst.s - total
         if r < 0:
             continue

@@ -82,9 +82,6 @@ class BitString:
         """First n bits of the hex digits, most significant bit first."""
         return cls.from_string(leading_bits(text, n))
 
-    def is_zero(self) -> bool:
-        return not self.value
-
     def __str__(self) -> str:
         return format(self.value, f"0{self.n}b")
 
@@ -156,24 +153,14 @@ def bit_shadow(msg: BitString) -> ShadowString:
     return ShadowString(tuple(_shadows(str(msg))))
 
 
-def bit_long_shadow(msg: BitString, shadows: ShadowString | None = None) -> ShadowString:
+def bit_long_shadow(msg: BitString) -> ShadowString:
     """Long-shadow encoding: each shadow doubles when the bit halfway
-    across the string is set.
-
-    A caller already holding the shadow string can pass it in to skip
-    recomputing it.
-    """
+    across the string is set."""
     s = str(msg)
-    if shadows is None:
-        values = _shadows(s)
-    elif len(shadows) != len(s):
-        raise LengthMismatchError("shadow string does not match the message")
-    else:
-        values = shadows.values
     half = len(s) // 2
     # rotating by half lines each value up with its partner bit
     partners = (s[half:] + s[:half]).encode().translate(_ZERO_ONE)
-    return ShadowString(tuple(map(lshift, values, partners)))
+    return ShadowString(tuple(map(lshift, _shadows(s), partners)))
 
 
 def recover_bits(ls: ShadowString) -> BitString:

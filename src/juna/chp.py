@@ -37,7 +37,7 @@ def _generates(ctx: ModContext, g: int) -> bool:
     return g % ctx.M != 0 and multiplicative_order_safe(ctx, g) == ctx.M - 1
 
 
-def chp_setup(bits: int, rng, budget: int | None = None) -> ChpParams:
+def chp_setup(bits: int, rng) -> ChpParams:
     """Safe prime of the given width plus the two smallest generators.
 
     The generator scan from 2 upward is deterministic, so the whole
@@ -45,7 +45,7 @@ def chp_setup(bits: int, rng, budget: int | None = None) -> ChpParams:
     """
     if not 5 <= bits <= MAX_BITS:
         raise DomainError(f"need 5 to {MAX_BITS} bits, got {bits}")
-    ctx = find_safe_prime(bits, rng, budget=budget)
+    ctx = find_safe_prime(bits, rng)
     found = []
     g = 2
     while len(found) < 2:
@@ -123,7 +123,7 @@ def parse_chp(text: str) -> ChpParams:
 def validate_chp(params: ChpParams) -> bool:
     """Primality of q and p, from the context, plus both generator checks."""
     try:
-        ctx = ModContext(params.p, q=params.q)
+        ctx = ModContext(params.p)
     except DomainError:
         return False
-    return _generates(ctx, params.alpha) and _generates(ctx, params.beta)
+    return ctx.q is not None and _generates(ctx, params.alpha) and _generates(ctx, params.beta)

@@ -39,17 +39,11 @@ def _resolve_seed(args) -> int:
     return seed
 
 
-def _load_pub(path) -> params.PublicParams:
+def _load(path, private: bool = False):
+    """The public (or private) parameters in the file at path."""
     obj = params.load(path)
-    if not isinstance(obj, params.PublicParams):
-        raise ParseError(f"{path} does not hold public parameters")
-    return obj
-
-
-def _load_priv(path) -> params.PrivateParams:
-    obj = params.load(path)
-    if not isinstance(obj, params.PrivateParams):
-        raise ParseError(f"{path} does not hold private parameters")
+    if isinstance(obj, params.PrivateParams) != private:
+        raise ParseError(f"{path} does not hold {'private' if private else 'public'} parameters")
     return obj
 
 
@@ -105,7 +99,7 @@ def cmd_keygen(args) -> int:
 
 
 def cmd_hash(args) -> int:
-    pub = _load_pub(args.pub)
+    pub = _load(args.pub)
     msg, padded = _message_from_args(args, pub.n)
     ctx = pub.context()
     before = ctx.mulcount
@@ -117,8 +111,8 @@ def cmd_hash(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    pub = _load_pub(args.pub)
-    priv = _load_priv(args.priv) if args.priv else None
+    pub = _load(args.pub)
+    priv = _load(args.priv, private=True) if args.priv else None
     report = params.validate(pub, priv)
     for line in report.lines():
         print(line)
@@ -162,7 +156,7 @@ def cmd_chp_compare(args) -> int:
 
 
 def cmd_reform(args) -> int:
-    profile = reform.load_profile(args.profile)
+    profile = reform.ReformProfile(_load(args.profile))
     n = profile.underlying_bits
     expected = (n + 3) // 4
     if len(args.digest_hex.strip()) != expected:
@@ -190,7 +184,7 @@ def cmd_attack_mitm(args) -> int:
 
 def cmd_attack_birthday(args) -> int:
     seed = _resolve_seed(args)
-    pub = _load_pub(args.pub)
+    pub = _load(args.pub)
     stats = attacks.birthday_search(
         pub, mask_bits=args.mask_bits, budget=args.budget, seed=seed
     )
@@ -221,8 +215,8 @@ def cmd_attack_birthday(args) -> int:
 
 
 def cmd_attack_brute(args) -> int:
-    pub = _load_pub(args.pub)
-    priv = _load_priv(args.priv) if args.priv else None
+    pub = _load(args.pub)
+    priv = _load(args.priv, private=True) if args.priv else None
     pairs = attacks.brute_force_collision(pub)
     _echo("pairs", len(pairs))
     for i, pair in enumerate(pairs):
@@ -244,7 +238,7 @@ def cmd_bench(args) -> int:
     import random
 
     rng = random.Random(seed)
-    pub = _load_pub(args.pub)
+    pub = _load(args.pub)
     ctx = pub.context()
     counts = []
     start = time.perf_counter()

@@ -33,7 +33,6 @@ class CoprimeSequence:
     """
 
     elements: tuple[int, ...]
-    bound: int | None = None  # max element allowed at generation time
 
     def __post_init__(self):
         if not self.elements:
@@ -42,8 +41,6 @@ class CoprimeSequence:
             raise DomainError("elements must be >= 2")
         if len(set(self.elements)) != len(self.elements):
             raise DomainError("elements must be pairwise distinct")
-        if self.bound is not None and any(a > self.bound for a in self.elements):
-            raise DomainError(f"element exceeds bound {self.bound}")
 
     @property
     def n(self) -> int:
@@ -166,7 +163,7 @@ def generate(n: int, P: int, rng) -> CoprimeSequence:
         if is_probable_prime(x):
             picked.append(x)
             seen.add(x)
-    return CoprimeSequence(tuple(picked), bound=P)
+    return CoprimeSequence(tuple(picked))
 
 
 def subset_product(seq: CoprimeSequence, exponents: Sequence[int]) -> int:

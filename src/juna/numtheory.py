@@ -165,21 +165,22 @@ class ModContext:
     """A prime modulus plus a counter of multiplications done through it.
 
     The context is immutable apart from the counter.  When the cofactor
-    q = (M-1)/2 is itself prime, multiplicative orders are one of
-    {1, 2, q, 2q} and can be decided exactly; given q, M is proven from it.
+    q = (M-1)/2 is prime, M is proven from it (CompositeSafeFormError if the
+    proof fails) and kept as self.q: multiplicative orders are then one of
+    {1, 2, q, 2q} and can be decided exactly.  Otherwise M gets its own
+    primality test and self.q is None.
     """
 
-    def __init__(self, M: int, q: int | None = None):
+    def __init__(self, M: int):
         if M < 3 or M % 2 == 0:
             raise DomainError(f"modulus must be an odd prime, got {M}")
-        if q is not None:
-            if M != 2 * q + 1:
-                raise DomainError("cofactor q must satisfy M = 2q + 1")
-            if q < 2 or not is_probable_prime(q):
-                raise DomainError(f"cofactor {q} is not prime")
+        q = (M - 1) // 2
+        if q >= 2 and is_probable_prime(q):
             if not _proves_safe_prime(M):
                 raise CompositeSafeFormError(f"modulus {M} is not prime")
-        elif not is_probable_prime(M):
+        elif is_probable_prime(M):
+            q = None
+        else:
             raise DomainError(f"modulus {M} is not prime")
         self.M = M
         self.q = q
@@ -246,19 +247,19 @@ class ModContext:
 
     def bit_products(self, pairs, bits: int) -> tuple[int, list[int]]:
         """For (base, exponent) pairs with exponents in [0, 2**bits): the
-        product of base**exponent mod M, and for each bit k the product of
-        the bases whose exponent has bit k set.
+        product of base**exponent mod M, and for each bit k the product S_k
+        of the bases whose exponent has bit k set.
 
-        Pippenger's method with 8-bit windows: per window each base goes
-        into the bucket of its digit there; a running product walked down
-        the digits gives the window's sum, and each further window costs 8
-        squarings.  The per-bit products are products of buckets.  Every
-        multiplication done is ticked, once per call.
+        Per 8-bit window each base goes into the bucket of its digit there
+        (the bucket step of Pippenger's method), and S_k is the product of
+        the buckets whose digit has the bit set.  The full product is
+        prod S_k**(2**k), by Horner's rule at 2 multiplications per bit.
+        Every multiplication done is ticked, once per call.
         """
         M = self.M
         mask = (1 << _WINDOW) - 1
         shifts = range(0, bits, _WINDOW)
-        digits = range(mask, 0, -1)
+        digits = range(1, mask + 1)
         buckets = [[1] * (1 << _WINDOW) for _ in shifts]
         muls = 0
         for base, e in pairs:
@@ -267,15 +268,6 @@ class ModContext:
                 if d:
                     bucket[d] = bucket[d] * base % M
                     muls += 1
-        acc = 1
-        for bucket in reversed(buckets):
-            running = window = 1
-            for d in digits:
-                running = running * bucket[d] % M
-                window = window * running % M
-            acc, k = _square_multiply(acc, 1 << _WINDOW, M)
-            acc = acc * window % M
-            muls += 2 * len(digits) + k + 1
         per_bit = []
         for bucket in buckets:
             for j in range(_WINDOW):
@@ -285,8 +277,12 @@ class ModContext:
                         s = s * bucket[d] % M
                 per_bit.append(s)
         muls += len(per_bit) << (_WINDOW - 1)  # half the digits have bit j set
-        self._tick(muls)
-        return acc, per_bit[:bits]
+        per_bit = per_bit[:bits]
+        acc = 1
+        for s in reversed(per_bit):
+            acc = acc * acc % M * s % M
+        self._tick(muls + 2 * bits)
+        return acc, per_bit
 
     def mod_inverse(self, x: int) -> int:
         try:
@@ -339,9 +335,11 @@ def find_safe_prime(bits: int, rng, budget: int | None = None) -> ModContext:
         ):
             continue
         try:
-            return ModContext(M, q=q)
+            ctx = ModContext(M)
         except DomainError:
-            pass
+            continue
+        if ctx.q is not None:  # below the screens M can be prime, q not
+            return ctx
     raise SearchExhaustedError(
         f"no {bits}-bit safe prime found in {attempts} attempts"
     )

@@ -70,19 +70,11 @@ class PublicParams:
             raise DomainError(f"modulus needs {ceil_lg(self.M)} bits, m = {self.m}")
 
     def context(self) -> ModContext:
-        """Shared counting context for this modulus (created lazily).  When
-        (M-1)/2 is prime M is proven from it, and a failed proof raises
-        CompositeSafeFormError; otherwise M gets its own test."""
+        """Shared counting context for this modulus (created lazily)."""
         ctx = self.__dict__.get("_ctx")
         if ctx is None:
-            try:
-                ctx = ModContext(self.M, q=(self.M - 1) // 2)
-            except CompositeSafeFormError:
-                raise
-            except DomainError:  # not a safe prime: M gets its own test
-                ctx = ModContext(self.M)
             # setdefault keeps one winner if two threads race the create
-            ctx = self.__dict__.setdefault("_ctx", ctx)
+            ctx = self.__dict__.setdefault("_ctx", ModContext(self.M))
         return ctx
 
 
@@ -339,19 +331,15 @@ def _initial_values_consistent(ctx, pub, priv) -> tuple[bool, str]:
     return ok, f"batch test, {rounds} round{'s' * (rounds > 1)}, miss probability at most 2^-{BATCH_BITS}"
 
 
-def validate(
-    pub: PublicParams,
-    priv: PrivateParams | None = None,
-    nbar: int | None = None,
-) -> ValidationReport:
+def validate(pub: PublicParams, priv: PrivateParams | None = None) -> ValidationReport:
     """Itemized check of every generation constraint.
 
     Primality is read off pub.context(), which the audit reuses.  The
     cofactor requirement accepts either branch: (M-1)/2 prime, or no prime
     factor of it up to 4n(2*nbar+3), searched no further than
-    COFACTOR_SEARCH_LIMIT.  nbar defaults to n when only the public side
-    is in hand.  With the private side, initial_values_consistent is the
-    batch test of _initial_values_consistent when (M-1)/2 is prime.
+    COFACTOR_SEARCH_LIMIT, with nbar = n when only the public side is in
+    hand.  With the private side, initial_values_consistent is the batch
+    test of _initial_values_consistent when (M-1)/2 is prime.
     """
     checks: list[CheckResult] = []
 
@@ -359,7 +347,7 @@ def validate(
         checks.append(CheckResult(name, bool(ok), detail, informative))
 
     M, m, n = pub.M, pub.m, pub.n
-    nb = nbar if nbar is not None else (priv.nbar if priv else n)
+    nb = priv.nbar if priv else n
 
     q = (M - 1) // 2
     try:
@@ -590,7 +578,7 @@ def parse(text: str) -> PublicParams | PrivateParams:
         L = _block(lines, 8 + n, n, "L")
         _end(lines, 8 + 2 * n)
         try:
-            A = coprime.CoprimeSequence(A, bound=P)
+            A = coprime.CoprimeSequence(A)
             return PrivateParams(m=m, n=n, M=M, P=P, nbar=nbar, W=W, delta=delta, A=A, ell=L)
         except DomainError as exc:
             raise ParseError(str(exc)) from exc

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import compress, params
 from .bitcodec import BitString
-from .errors import DomainError, LengthMismatchError, ZeroMessageError
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -37,21 +37,7 @@ class ReformProfile:
 
 
 def reform_digest(profile: ReformProfile, underlying: BitString) -> compress.Digest:
-    """Compress an underlying digest to half its width."""
-    if len(underlying) != profile.underlying_bits:
-        raise LengthMismatchError(
-            f"underlying digest has {len(underlying)} bits, "
-            f"profile wants {profile.underlying_bits}"
-        )
-    if underlying.is_zero():
-        # Distinct from the generic precondition so callers can decide
-        # what to do with an all-zero underlying digest explicitly.
-        raise ZeroMessageError("underlying digest is all zero")
+    """Compress an underlying digest to half its width; compress.digest
+    raises LengthMismatchError for the wrong width and ZeroMessageError for
+    an all-zero digest."""
     return compress.digest(profile.pub, underlying)
-
-
-def load_profile(path) -> ReformProfile:
-    obj = params.load(path)
-    if not isinstance(obj, params.PublicParams):
-        raise DomainError("profile file must hold public parameters")
-    return ReformProfile(pub=obj)

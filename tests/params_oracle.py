@@ -91,7 +91,7 @@ def parse_line_by_line(text: str) -> PublicParams | PrivateParams:
                 nbar=nbar,
                 W=W,
                 delta=delta,
-                A=coprime.CoprimeSequence(A, bound=P),
+                A=coprime.CoprimeSequence(A),
                 ell=L,
             )
         except (DomainError, ValueError) as exc:

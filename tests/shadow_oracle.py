@@ -15,7 +15,7 @@ def bit_shadow_streaming(msg: BitString) -> ShadowString:
     the leftmost 1-bit is remembered and the trailing zero run is added
     there in a final fix-up step.
     """
-    if msg.is_zero():
+    if not msg.value:
         raise ZeroMessageError("message must contain at least one 1-bit")
     out = []
     k = 0

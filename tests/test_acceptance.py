@@ -55,7 +55,7 @@ def test_criterion_02_shadow_sum_facts():
             v = rng.getrandbits(n) or 1
             msg = BitString.from_int(v, n)
             sh = bit_shadow(msg)
-            ls = bit_long_shadow(msg, sh)
+            ls = bit_long_shadow(msg)
             assert sum(sh.values) == n
             assert n <= sum(ls.values) <= 2 * n
             checked += 1
@@ -76,7 +76,7 @@ def test_criterion_03_injectivity_exhaustive():
             msg = BitString.from_int(v, n)
             sh = bit_shadow(msg)
             shadows.add(sh.values)
-            longs.add(bit_long_shadow(msg, sh).values)
+            longs.add(bit_long_shadow(msg).values)
             products.add(subset_product(seq, sh.values))
         results.append(
             len(shadows) == total and len(longs) == total and len(products) == total

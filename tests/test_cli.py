@@ -242,7 +242,7 @@ def test_chp_flow(tmp_path, capsys):
 
 
 def test_reform_flow(tmp_path, capsys):
-    pub, _ = initialize(m=16, n=32, P=1201, nbar=32, rng=random.Random(5))
+    pub, priv = initialize(m=16, n=32, P=1201, nbar=32, rng=random.Random(5))
     path = tmp_path / "prof.pub"
     save(pub, path)
     rc = main(["reform", "--profile", str(path), "--digest-hex", "deadbeef"])
@@ -255,6 +255,11 @@ def test_reform_flow(tmp_path, capsys):
     rc = main(["reform", "--profile", str(path), "--digest-hex", "dead"])
     assert rc == 2
     capsys.readouterr()
+    # so is a profile file that holds the private side
+    priv_path = tmp_path / "prof.priv"
+    save(priv, priv_path)
+    assert main(["reform", "--profile", str(priv_path), "--digest-hex", "deadbeef"]) == 2
+    assert capsys.readouterr().err == f"error: {priv_path} does not hold public parameters\n"
 
 
 def test_attack_mitm(tmp_path, capsys):
@@ -441,6 +446,18 @@ def test_validate_priv_with_wide_prime_bound_or_zero_nbar(toy_files, tmp_path, c
     wide.write_text(text.replace("\nnbar=8\n", "\nnbar=0\n"))
     assert main(["validate", "--pub", pub_path, "--priv", str(wide)]) == 2
     assert "error: nbar must be positive" in capsys.readouterr().err
+
+
+def test_validate_priv_with_basis_above_prime_bound(toy_files, tmp_path, capsys):
+    # the file parses; only the bound check fails
+    pub_path, priv_path = toy_files
+    priv = load(priv_path)
+    bad = tmp_path / "low.priv"
+    save(dataclasses.replace(priv, P=max(priv.A) - 1), bad)
+    assert main(["validate", "--pub", pub_path, "--priv", str(bad)]) == 2
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert [line for line in out.out.splitlines() if line.startswith("FAIL")] == ["FAIL basis_in_bound"]
 
 
 def test_pub_file_wider_than_max_m_is_parse_error(tmp_path, capsys):

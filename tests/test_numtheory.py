@@ -6,6 +6,7 @@ import pytest
 from juna import numtheory
 from juna.chp import _generates
 from juna.errors import (
+    CompositeSafeFormError,
     DomainError,
     NotInvertibleError,
     SearchExhaustedError,
@@ -32,6 +33,8 @@ from prime_oracle import (
 )
 
 REFERENCE_M = 636743755563737235857207
+# A prime whose (M-1)/2 = 1099511627791 * 1099511628401 is not.
+_NON_SAFE_PRIME = 2417851640636633232984383
 # Above this bound is_probable_prime is the Baillie-PSW test.
 _BPSW_FROM = 3_317_044_064_679_887_385_961_981
 
@@ -185,7 +188,7 @@ def test_bpsw_agrees_with_plain_above_bound():
 
 def test_mod_pow_examples():
     assert ModContext(101).mod_pow(2, 0) == 1
-    assert ModContext(23, q=11).mod_pow(5, 11) == 22
+    assert ModContext(23).mod_pow(5, 11) == 22
     assert ModContext(101).mod_inverse(1) == 1
 
 
@@ -202,7 +205,7 @@ def test_mod_pow_agrees_with_iterated_multiplication():
 
 
 def test_mod_pow_negative_exponent():
-    ctx = ModContext(23, q=11)
+    ctx = ModContext(23)
     assert ctx.mod_pow(5, -1) == ctx.mod_inverse(5)
     assert ctx.mod_mul(ctx.mod_pow(5, -3), ctx.mod_pow(5, 3)) == 1
 
@@ -240,7 +243,7 @@ def _bits_of_exponents(pairs, bits, M):
 
 @pytest.mark.parametrize("M, bits", [(1019, 64), (1019, 13), (REFERENCE_M, 64), (REFERENCE_M, 1)])
 def test_bit_products_agree_with_pow(M, bits):
-    ctx = ModContext(M, q=(M - 1) // 2)
+    ctx = ModContext(M)
     rng = random.Random(bits)
     for size in (0, 1, 7, 300):
         pairs = [(rng.randrange(1, M), rng.getrandbits(bits)) for _ in range(size)]
@@ -251,10 +254,10 @@ def test_bit_products_agree_with_pow(M, bits):
         product, per_bit = ctx.bit_products(pairs, bits)
         assert product == expected
         assert per_bit == _bits_of_exponents(pairs, bits, M)
-        # each nonzero 8-bit digit, the bucket sums, 8 squarings per window, the subsets
+        # each nonzero 8-bit digit, the subsets, and Horner's 2 per bit
         windows = -(-bits // 8)
         digits = sum(1 for _, e in pairs for s in range(0, bits, 8) if e >> s & 255)
-        assert ctx.mulcount - before == digits + windows * (2 * 255 + 8 + 1) + windows * 8 * 128
+        assert ctx.mulcount - before == digits + windows * 8 * 128 + 2 * bits
 
 
 # A 232-bit safe prime, the modulus of keygen at seed 4096, --m 232.
@@ -269,7 +272,7 @@ def test_square_multiply_matches_loop_oracle():
         assert _square_multiply(base, e, M80) == square_multiply_oracle(base, e, M80), e
     rng = random.Random(232)
     for M in (M80, _M232):
-        ctx = ModContext(M, q=(M - 1) // 2)
+        ctx = ModContext(M)
         for _ in range(200):
             b, e = rng.randrange(M), rng.randrange(1, 1 << 232)
             value, muls = square_multiply_oracle(b, e, M)
@@ -280,7 +283,7 @@ def test_square_multiply_matches_loop_oracle():
 
 
 def test_mod_inverse_errors():
-    ctx = ModContext(23, q=11)
+    ctx = ModContext(23)
     with pytest.raises(NotInvertibleError):
         ctx.mod_inverse(0)
     for x in range(1, 23):
@@ -304,10 +307,27 @@ def test_mulcount_reproducible():
 
 
 def test_context_rejects_bad_modulus():
-    with pytest.raises(DomainError):
-        ModContext(100)
-    with pytest.raises(DomainError):
-        ModContext(23, q=7)  # 23 != 2*7 + 1
+    for M in (100, 2, 1, 0, -5):
+        with pytest.raises(DomainError):
+            ModContext(M)
+
+
+@pytest.mark.parametrize("M, q", [
+    (3, None),  # (M-1)/2 = 1: M is tested itself
+    (5, 2),
+    (23, 11),
+    (101, None),  # 50 is not prime
+    (1009, None),  # 504 is not prime
+    (100, DomainError),  # even
+    (9, DomainError),  # 4 is not prime, and neither is 9
+    (2 * 31 + 1, CompositeSafeFormError),  # 63 = 7 * 9 although 31 is prime
+])
+def test_context_derives_cofactor(M, q):
+    if isinstance(q, type):
+        with pytest.raises(q):
+            ModContext(M)
+    else:
+        assert ModContext(M).q == q
 
 
 def test_safe_prime_proof_matches_sieve():
@@ -323,16 +343,18 @@ def test_safe_prime_proof_matches_sieve():
 
 def test_context_rejects_composite_safe_form_at_232_bits():
     q = composite_safe_form(232)
-    with pytest.raises(DomainError, match="is not prime"):
-        ModContext(2 * q + 1, q=q)
+    with pytest.raises(CompositeSafeFormError, match="is not prime"):
+        ModContext(2 * q + 1)
 
 
 def test_context_tests_only_the_cofactor(tested):
-    ModContext(REFERENCE_M, q=(REFERENCE_M - 1) // 2)
+    ModContext(REFERENCE_M)
     assert tested == [(REFERENCE_M - 1) // 2]
     tested.clear()
-    ModContext(REFERENCE_M)
-    assert tested == [REFERENCE_M]
+    # a prime that is not safe: the cofactor fails, then M gets its own test
+    M = _NON_SAFE_PRIME
+    assert ModContext(M).q is None
+    assert tested == [(M - 1) // 2, M]
     tested.clear()
     # the search tests the accepted q once and no 64-bit M at all
     for seed in range(5):
@@ -343,7 +365,7 @@ def test_context_tests_only_the_cofactor(tested):
 
 def test_generator_checks():
     # the comparison hash's test, order M - 1, against the powers of each g
-    ctx = ModContext(23, q=11)
+    ctx = ModContext(23)
     generators = {g for g in range(23) if len({pow(g, k, 23) for k in range(22)}) == 22}
     assert {g for g in range(46) if _generates(ctx, g)} == generators | {g + 23 for g in generators}
     assert not {2, 22} & generators  # 2^11 = 1 mod 23, and -1 has order 2
@@ -353,7 +375,7 @@ def test_generator_checks():
 
 
 def test_order_safe_prime():
-    ctx = ModContext(23, q=11)
+    ctx = ModContext(23)
     assert multiplicative_order_safe(ctx, 2) == 11
     assert multiplicative_order_safe(ctx, 22) == 2  # M - 1
     assert multiplicative_order_safe(ctx, 5) == 22  # a generator
@@ -381,6 +403,14 @@ def test_find_safe_prime():
     assert ctx.M == 2 * ctx.q + 1
     with pytest.raises(SearchExhaustedError):
         find_safe_prime(12, random.Random(0), budget=0)
+
+
+@pytest.mark.parametrize("bits", range(5, 13))
+def test_find_safe_prime_returns_only_safe_primes(bits):
+    # below the sieve's reach a candidate M can be prime while (M-1)/2 is not
+    for seed in range(50):
+        ctx = find_safe_prime(bits, random.Random(seed))
+        assert ctx.q is not None, seed
 
 
 @pytest.mark.parametrize("bits", [5, 6, 8, 12, 32, 64, 128])

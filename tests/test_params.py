@@ -288,10 +288,9 @@ _NON_SAFE_M = 2417851640636633232984383
                  "search limit 16777216, bound 137438953520", id="undetermined"),
 ])
 def test_cofactor_structure_outcomes(M, nbar, ok, detail):
-    # 69143 = 2*181*191 + 1 and 120067 = 6*20011 + 1 are primes, not safe
-    pub = PublicParams(m=ceil_lg(M), n=4, M=M, C=(2, 3, 5, 7))
-    line = f"{'PASS' if ok else 'FAIL'} cofactor_structure ({detail})"
-    assert line in validate(pub, nbar=nbar).lines()
+    # 69143 = 2*181*191 + 1 and 120067 = 6*20011 + 1 are primes, not safe;
+    # the bound is validate's 4n(2*nbar + 3) at n = 4
+    assert params._cofactor_structure((M - 1) // 2, 16 * (2 * nbar + 3)) == (ok, detail)
 
 
 def test_context_tests_modulus_and_cofactor_once(tested, reference_pub):
@@ -444,7 +443,7 @@ def _wide_files():
     big = [rng.randrange(2, M) for _ in range(6)]
     pub = PublicParams(m=232, n=4, M=M, C=tuple(big[:4]))
     priv = PrivateParams(m=232, n=4, M=M, P=1 << 32, nbar=4, W=big[4], delta=big[5],
-                         A=coprime.CoprimeSequence((2, 3, 5, 7), bound=1 << 32),
+                         A=coprime.CoprimeSequence((2, 3, 5, 7)),
                          ell=(5, -7, 9, -11))
     return serialize(pub), serialize(priv)
 
@@ -651,7 +650,7 @@ def test_validate_reports_undetermined_pair_scan(toy_priv):
     # A_i = 2 * p_i at n = 4096: admissible, but past the pair scan's work limit
     n = 4096
     odd_primes = [p for p in range(3, 1 << 16) if is_probable_prime(p)][:n]
-    A = coprime.CoprimeSequence(tuple(2 * p for p in odd_primes), bound=1 << 17)
+    A = coprime.CoprimeSequence(tuple(2 * p for p in odd_primes))
     ell = tuple(range(5, 5 + 2 * n, 2))
     priv = dataclasses.replace(toy_priv, n=n, P=1 << 17, nbar=n, A=A, ell=ell)
     pub = PublicParams(m=12, n=n, M=toy_priv.M, C=tuple(range(2, n + 2)))
@@ -677,7 +676,7 @@ def test_batch_test_passes_consistent_values_with_even_delta(toy_priv):
     # delta_invertible fails, but the values the private side gives still match:
     # then every C_i is a square, and the Legendre part expects +1 throughout
     priv = dataclasses.replace(toy_priv, delta=toy_priv.delta + 1)
-    ctx = ModContext(priv.M, q=(priv.M - 1) // 2)
+    ctx = ModContext(priv.M)
     C = params._compute_initial_values(ctx, priv.A, priv.ell, priv.W, priv.delta)
     pub = PublicParams(m=12, n=priv.n, M=priv.M, C=C)
     lines = validate(pub, priv).lines()

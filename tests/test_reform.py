@@ -5,8 +5,8 @@ import pytest
 from juna.bitcodec import BitString
 from juna.compress import digest
 from juna.errors import DomainError, LengthMismatchError, ZeroMessageError
-from juna.params import initialize, save
-from juna.reform import ReformProfile, load_profile, reform_digest
+from juna.params import initialize, load, save
+from juna.reform import ReformProfile, reform_digest
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +47,7 @@ def test_reform_input_errors(profile_32):
 def test_profile_file_round_trip(profile_32, tmp_path):
     path = tmp_path / "profile.pub"
     save(profile_32.pub, path)
-    again = load_profile(path)
+    again = ReformProfile(load(path))
     assert again.pub == profile_32.pub
 
 

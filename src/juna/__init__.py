@@ -16,7 +16,7 @@ from .bitcodec import (
     pad_to_length,
     recover_bits,
 )
-from .compress import Digest, digest, parse_digest, render
+from .compress import Digest, digest
 from .coprime import CoprimeSequence
 from .errors import JunaError
 from .numtheory import ModContext, ceil_lg, is_probable_prime
@@ -49,9 +49,7 @@ __all__ = [
     "initialize",
     "is_probable_prime",
     "pad_to_length",
-    "parse_digest",
     "recover_bits",
-    "render",
     "validate",
 ]
 

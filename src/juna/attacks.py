@@ -20,7 +20,7 @@ from .bitcodec import BitString, bit_long_shadow
 from .compress import digest
 from .errors import DomainError, InstanceTooLargeError, ParseError
 from .numtheory import ceil_lg
-from .params import PublicParams, decode_ascii
+from .params import PublicParams
 
 MITM_CAP = 40
 COLLISION_CAP = 12
@@ -49,14 +49,14 @@ class SubsetSumInstance:
         return len(self.c)
 
 
-def parse_instance(data: bytes) -> SubsetSumInstance:
+def parse_instance(text: str) -> SubsetSumInstance:
     """Read instance text: one s=<int> line and one c=<int> line per weight.
 
     Blank lines and surrounding whitespace are skipped.  Any other line,
-    a non-ASCII byte, an integer over MAX_INSTANCE_DIGITS digits, more
-    than MAX_INSTANCE_BYTES bytes or a zero weight raises ParseError.
+    an integer over MAX_INSTANCE_DIGITS ASCII digits or a zero weight
+    raises ParseError.  Files come through params.read_ascii with the
+    MAX_INSTANCE_BYTES cap.
     """
-    text = decode_ascii(data, MAX_INSTANCE_BYTES)
     weights = []
     target = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -64,7 +64,7 @@ def parse_instance(data: bytes) -> SubsetSumInstance:
         if not line:
             continue
         key, _, value = line.partition("=")
-        if key not in ("c", "s") or not value.isdigit():
+        if key not in ("c", "s") or not (value.isascii() and value.isdigit()):
             raise ParseError(f"expected c=<int> or s=<int>, got {line!r}", line=lineno)
         if len(value) > MAX_INSTANCE_DIGITS:
             raise ParseError(f"over {MAX_INSTANCE_DIGITS} digits", line=lineno)

@@ -15,21 +15,23 @@ from math import isqrt
 
 from .errors import DomainError, ParseError
 from .numtheory import ModContext, find_safe_prime, multiplicative_order_safe
-from .params import MAX_M, MAX_N
+from .params import MAX_M, MAX_N, _end, _expect_int
 
 
 @dataclass(frozen=True)
 class ChpParams:
     p: int
-    q: int
     alpha: int
     beta: int
 
     def __post_init__(self):
-        if self.p != 2 * self.q + 1:
-            raise DomainError("need p = 2q + 1")
         if self.alpha == self.beta:
             raise DomainError("generators must differ")
+
+    @property
+    def q(self) -> int:
+        """The cofactor (p - 1)/2, prime when p is a safe prime."""
+        return (self.p - 1) // 2
 
 
 def _generates(ctx: ModContext, g: int) -> bool:
@@ -52,7 +54,7 @@ def chp_setup(bits: int, rng) -> ChpParams:
         if _generates(ctx, g):
             found.append(g)
         g += 1
-    return ChpParams(p=ctx.M, q=ctx.q, alpha=found[0], beta=found[1])
+    return ChpParams(p=ctx.M, alpha=found[0], beta=found[1])
 
 
 def chp_hash(params: ChpParams, w1: int, w2: int) -> int:
@@ -85,37 +87,30 @@ def compare_costs(m: int, n: int, lg_p: int) -> dict:
     }
 
 
-CHP_HEADER = "CHP 1"
+CHP_HEADER = "CHP 2"
 # 1000 digits, about 3300 bits, is below Python's 4300-digit int() limit.
 MAX_INT_DIGITS = 1000
 # The widest p whose every value parse_chp reads back: 2**3321 < 10**1000.
 MAX_BITS = (10**MAX_INT_DIGITS).bit_length() - 1
-MAX_FILE_BYTES = len(CHP_HEADER) + 1 + 4 * (len("alpha=") + MAX_INT_DIGITS + 1)
+MAX_FILE_BYTES = len(CHP_HEADER) + 1 + 3 * (len("alpha=") + MAX_INT_DIGITS + 1)
 
 
 def serialize_chp(params: ChpParams) -> str:
-    return (
-        f"{CHP_HEADER}\np={params.p}\nq={params.q}\n"
-        f"alpha={params.alpha}\nbeta={params.beta}\n"
-    )
+    return f"{CHP_HEADER}\np={params.p}\nalpha={params.alpha}\nbeta={params.beta}\n"
 
 
 def parse_chp(text: str) -> ChpParams:
     lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if len(lines) != 5:
-        raise ParseError(f"expected 5 lines, got {len(lines)}")
     if lines[0] != CHP_HEADER:
         raise ParseError(f"unknown header {lines[0]!r}", line=1)
-    vals = {}
-    for idx, (key, line) in enumerate(zip(("p", "q", "alpha", "beta"), lines[1:]), start=2):
-        k, _, v = line.partition("=")
-        if k != key or not (v.isascii() and v.isdigit()) or len(v) > MAX_INT_DIGITS:
-            raise ParseError(f"expected {key}=<int>, got {line!r}", line=idx)
-        vals[key] = int(v)
+    if lines[-1] == "":
+        lines.pop()
+    p, alpha, beta = (
+        _expect_int(lines, i, key, MAX_INT_DIGITS) for i, key in enumerate(("p", "alpha", "beta"), 1)
+    )
+    _end(lines, 4)
     try:
-        return ChpParams(**vals)
+        return ChpParams(p=p, alpha=alpha, beta=beta)
     except DomainError as exc:
         raise ParseError(str(exc)) from exc
 

@@ -139,6 +139,8 @@ def cmd_chp_setup(args) -> int:
 
 def cmd_chp_hash(args) -> int:
     cp = chp.parse_chp(params.read_ascii(args.params, chp.MAX_FILE_BYTES))
+    if not chp.validate_chp(cp):
+        raise DomainError("p is not a safe prime, or alpha or beta does not generate its group")
     value = chp.chp_hash(cp, args.w1, args.w2)
     _echo("value", value)
     return 0
@@ -172,8 +174,7 @@ def cmd_reform(args) -> int:
 
 
 def cmd_attack_mitm(args) -> int:
-    with open(args.instance, "rb") as fh:
-        inst = attacks.parse_instance(fh.read(attacks.MAX_INSTANCE_BYTES + 1))
+    inst = attacks.parse_instance(params.read_ascii(args.instance, attacks.MAX_INSTANCE_BYTES))
     bits = attacks.mitm_subset_sum(inst)
     if bits is None:
         _echo("solution", "none")

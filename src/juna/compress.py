@@ -8,10 +8,9 @@ multi-exponentiation (ModContext.multi_pow).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from string import hexdigits
 
 from .bitcodec import BitString, bit_long_shadow
-from .errors import DomainError, LengthMismatchError, ParseError
+from .errors import DomainError, LengthMismatchError
 from .numtheory import ModContext
 from .params import PublicParams
 
@@ -31,10 +30,11 @@ class Digest:
 
     @property
     def hex(self) -> str:
-        return render(self)
+        """Lowercase hex, zero-padded to ceil(m/4) digits."""
+        return format(self.value, f"0{(self.m + 3) // 4}x")
 
     def __str__(self) -> str:
-        return render(self)
+        return self.hex
 
 
 def digest(pub: PublicParams, msg: BitString, ctx: ModContext | None = None) -> Digest:
@@ -54,23 +54,3 @@ def digest(pub: PublicParams, msg: BitString, ctx: ModContext | None = None) -> 
         raise LengthMismatchError(f"message has {len(msg)} bits, parameters want {pub.n}")
     value = ctx.multi_pow(zip(pub.C, bit_long_shadow(msg).values))
     return Digest(value=value, m=pub.m)
-
-
-def render(d: Digest) -> str:
-    """Lowercase hex, zero-padded to ceil(m/4) digits."""
-    width = (d.m + 3) // 4
-    return format(d.value, f"0{width}x")
-
-
-def parse_digest(text: str, m: int) -> Digest:
-    """Parse the fixed-width hex rendering back into a Digest."""
-    width = (m + 3) // 4
-    text = text.strip()
-    if len(text) != width:
-        raise ParseError(f"digest text must be {width} hex digits, got {len(text)}")
-    if text.strip(hexdigits):
-        raise ParseError(f"not hex: {text!r}")
-    value = int(text, 16)
-    if value < 1 or value >> m:
-        raise ParseError(f"digest value {value} outside [1, 2^{m})")
-    return Digest(value=value, m=m)

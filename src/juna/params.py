@@ -97,6 +97,8 @@ class PrivateParams:
             raise DomainError("basis and exponent table must have n entries")
         if self.nbar < 1:
             raise DomainError("nbar must be positive")
+        if self.P < 1:
+            raise DomainError("P must be positive")
 
 
 def omega_magnitudes(nbar: int) -> range:
@@ -520,8 +522,9 @@ _FIELD = {key: rf"{key}={'-?' if key == 'L' else ''}[0-9]{{1,{MAX_INT_DIGITS}}}"
 _BLOCK = {key: re.compile(rf"(?:{f}\n)*{f}") for key, f in _FIELD.items()}
 
 
-def _expect_int(lines: list[str], i: int, key: str) -> int:
-    """The integer on line i (0-based) as key=<int>, or the ParseError naming it."""
+def _expect_int(lines: list[str], i: int, key: str, digits: int = MAX_INT_DIGITS) -> int:
+    """The integer on line i (0-based) as key=<int> of at most `digits` digits,
+    or the ParseError naming the line."""
     if i >= len(lines):
         raise ParseError("unexpected end of file", line=i + 1)
     line = lines[i]
@@ -531,8 +534,8 @@ def _expect_int(lines: list[str], i: int, key: str) -> int:
     if k != key:
         raise ParseError(f"expected key {key!r}, got {k!r}", line=i + 1)
     body = v[1:] if key == "L" and v.startswith("-") else v
-    if len(body) > MAX_INT_DIGITS:
-        raise ParseError(f"{key!r} has over {MAX_INT_DIGITS} digits", line=i + 1)
+    if len(body) > digits:
+        raise ParseError(f"{key!r} has over {digits} digits", line=i + 1)
     if not (body.isascii() and body.isdigit()):
         raise ParseError(f"bad integer {v!r} for key {key!r}", line=i + 1)
     return int(v)
@@ -585,20 +588,17 @@ def parse(text: str) -> PublicParams | PrivateParams:
     raise ParseError(f"unknown header {header!r}", line=1)
 
 
-def decode_ascii(data: bytes, limit: int) -> str:
-    """data as text; ParseError for over `limit` bytes or a non-ASCII byte."""
+def read_ascii(path, limit: int) -> str:
+    """A text file of at most `limit` bytes, reading no more than one past it;
+    ParseError for a longer file or a non-ASCII byte."""
+    with open(path, "rb") as fh:
+        data = fh.read(limit + 1)
     if len(data) > limit:
         raise ParseError(f"file is over {limit} bytes")
     try:
         return data.decode("ascii")
     except UnicodeDecodeError as exc:
         raise ParseError(f"non-ASCII byte at offset {exc.start}") from exc
-
-
-def read_ascii(path, limit: int) -> str:
-    """A text file of at most `limit` bytes, reading no more than one past it."""
-    with open(path, "rb") as fh:
-        return decode_ascii(fh.read(limit + 1), limit)
 
 
 def load(path) -> PublicParams | PrivateParams:

@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 
 from juna.chp import (
+    MAX_FILE_BYTES,
+    MAX_INT_DIGITS,
     ChpParams,
     chp_hash,
     chp_setup,
@@ -32,14 +34,14 @@ def test_setup_deterministic_given_seed():
 
 
 def test_hash_examples():
-    params = ChpParams(p=23, q=11, alpha=5, beta=7)
+    params = ChpParams(p=23, alpha=5, beta=7)
     assert chp_hash(params, 3, 4) == 21
     assert chp_hash(params, 0, 0) == 1
     assert chp_hash(params, 1, 0) == params.alpha
 
 
 def test_hash_domain_checks():
-    params = ChpParams(p=23, q=11, alpha=5, beta=7)
+    params = ChpParams(p=23, alpha=5, beta=7)
     with pytest.raises(DomainError):
         chp_hash(params, 11, 0)
     with pytest.raises(DomainError):
@@ -60,7 +62,7 @@ def test_hash_agrees_with_counting_context():
 
 
 def test_hash_homomorphic_sanity():
-    params = ChpParams(p=23, q=11, alpha=5, beta=7)
+    params = ChpParams(p=23, alpha=5, beta=7)
     for w1, w2, x1, x2 in ((1, 2, 3, 4), (0, 5, 2, 2), (4, 4, 1, 6)):
         lhs = chp_hash(params, w1 + x1, w2 + x2)
         rhs = chp_hash(params, w1, w2) * chp_hash(params, x1, x2) % params.p
@@ -80,12 +82,17 @@ def test_compare_costs_published_values():
 
 
 def test_serialize_round_trip():
-    params = ChpParams(p=23, q=11, alpha=5, beta=7)
+    params = ChpParams(p=23, alpha=5, beta=7)
     assert parse_chp(serialize_chp(params)) == params
-    with pytest.raises(ParseError):
-        parse_chp("CHP 2\np=23\nq=11\nalpha=5\nbeta=7\n")
-    with pytest.raises(ParseError):
-        parse_chp(serialize_chp(params).replace("q=11", "r=11"))
+    assert serialize_chp(params) == "CHP 2\np=23\nalpha=5\nbeta=7\n"
+    with pytest.raises(ParseError, match="line 1: unknown header 'CHP 1'"):
+        parse_chp("CHP 1\np=23\nq=11\nalpha=5\nbeta=7\n")
+    with pytest.raises(ParseError, match="line 3: expected key 'alpha', got 'q'"):
+        parse_chp(serialize_chp(params).replace("alpha", "q=11\nalpha"))
+    with pytest.raises(ParseError, match="line 5: trailing content"):
+        parse_chp(serialize_chp(params) + "q=11\n")
+    with pytest.raises(ParseError, match="line 1: unknown header ''"):
+        parse_chp("")
     with pytest.raises(ParseError):
         parse_chp(serialize_chp(params).replace("alpha=5", "alpha=\u00b2"))
     with pytest.raises(ParseError):
@@ -98,6 +105,17 @@ def test_validate_tests_q_once_and_proves_p(tested):
     assert validate_chp(params)
     assert tested == [params.q]
     q = composite_safe_form(64)
-    assert not validate_chp(ChpParams(p=2 * q + 1, q=q, alpha=2, beta=3))
+    assert not validate_chp(ChpParams(p=2 * q + 1, alpha=2, beta=3))
     # p = 19 is prime, but q = 9 is not
-    assert not validate_chp(ChpParams(p=19, q=9, alpha=2, beta=3))
+    assert not validate_chp(ChpParams(p=19, alpha=2, beta=3))
+
+
+def test_parse_round_trip_at_the_digit_cap():
+    top = 10**MAX_INT_DIGITS - 1
+    params = ChpParams(p=top, alpha=top - 1, beta=top - 2)
+    text = serialize_chp(params)
+    assert len(text) <= MAX_FILE_BYTES
+    assert parse_chp(text) == params
+    with pytest.raises(ParseError, match=f"line 2: 'p' has over {MAX_INT_DIGITS} digits"):
+        parse_chp(text.replace("p=", "p=1"))
+

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from juna.attacks import MAX_INSTANCE_BYTES
 from juna.bitcodec import BitString
 from juna.cli import main
 from juna.compress import digest
@@ -241,6 +242,32 @@ def test_chp_flow(tmp_path, capsys):
     assert "error: non-ASCII byte at offset" in capsys.readouterr().err
 
 
+_NOT_CHP = "error: p is not a safe prime, or alpha or beta does not generate its group\n"
+
+
+@pytest.mark.parametrize(
+    "text, err",
+    [
+        ("CHP 2\np=21\nalpha=2\nbeta=3\n", _NOT_CHP),  # p composite
+        ("CHP 2\np=19\nalpha=2\nbeta=3\n", _NOT_CHP),  # p prime, q = 9 composite
+        ("CHP 2\np=23\nalpha=4\nbeta=5\n", _NOT_CHP),  # 4 is a square mod 23
+        ("CHP 2\np=23\nalpha=0\nbeta=5\n", _NOT_CHP),
+        ("CHP 1\np=23\nq=11\nalpha=5\nbeta=7\n", "error: line 1: unknown header 'CHP 1'\n"),
+        ("CHP 2\np=23\nalpha=5\nbeta=7\n", None),
+    ],
+    ids=["p-composite", "q-composite", "alpha-square", "alpha-zero", "chp-1", "valid"],
+)
+def test_chp_hash_checks_what_it_reads(text, err, tmp_path, capsys):
+    path = tmp_path / "chp.txt"
+    path.write_text(text)
+    rc = main(["chp", "hash", "--params", str(path), "--w1", "3", "--w2", "4"])
+    out = capsys.readouterr()
+    if err is None:
+        assert (rc, out.out, out.err) == (0, "value=21\n", "")
+    else:
+        assert (rc, out.out, out.err) == (2, "", err)
+
+
 def test_reform_flow(tmp_path, capsys):
     pub, priv = initialize(m=16, n=32, P=1201, nbar=32, rng=random.Random(5))
     path = tmp_path / "prof.pub"
@@ -274,7 +301,11 @@ def test_attack_mitm(tmp_path, capsys):
     assert grab(capsys)["solution"] == "none"
     inst.write_text("s=1\nc=\u00b2\n", encoding="utf-8")
     assert main(["attack", "mitm", "--instance", str(inst)]) == 2
-    assert "error: non-ASCII byte at offset 6" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: non-ASCII byte at offset 6\n"
+    inst.write_bytes(b"c=1\ns=1\n" + b" " * MAX_INSTANCE_BYTES)
+    assert main(["attack", "mitm", "--instance", str(inst)]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", f"error: file is over {MAX_INSTANCE_BYTES} bytes\n")
 
 
 def test_attack_birthday(toy_files, tmp_path, capsys):
@@ -460,6 +491,19 @@ def test_validate_priv_with_basis_above_prime_bound(toy_files, tmp_path, capsys)
     assert [line for line in out.out.splitlines() if line.startswith("FAIL")] == ["FAIL basis_in_bound"]
 
 
+@pytest.mark.parametrize("W", [1, None])
+def test_validate_priv_with_zero_prime_bound_is_parse_error(W, toy_files, tmp_path, capsys):
+    # with W = 1 the capacity report took log2(0); with the file's W, ceil_lg(0)
+    pub_path, priv_path = toy_files
+    priv = load(priv_path)
+    text = Path(priv_path).read_text().replace(f"\nP={priv.P}\n", "\nP=0\n")
+    bad = tmp_path / "p0.priv"
+    bad.write_text(text.replace(f"\nW={priv.W}\n", f"\nW={W or priv.W}\n"))
+    assert main(["validate", "--pub", pub_path, "--priv", str(bad)]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", "error: P must be positive\n")
+
+
 def test_pub_file_wider_than_max_m_is_parse_error(tmp_path, capsys):
     wide = tmp_path / "wide.pub"
     wide.write_text("JUNA-PUB 1\nm=1000000\nn=4\nM=11\nC=2\nC=3\nC=4\nC=5\n")
@@ -501,7 +545,7 @@ def fuzz_texts(toy_files, tmp_path_factory):
         "pub": Path(pub_path).read_text(),
         "priv": Path(priv_path).read_text(),
         "profile": (base / "profile.pub").read_text(),
-        "chp": "CHP 1\np=23\nq=11\nalpha=5\nbeta=7\n",
+        "chp": "CHP 2\np=23\nalpha=5\nbeta=7\n",
         "instance": "s=11\nc=1\nc=2\nc=4\nc=8\n",
     }
 

@@ -4,11 +4,10 @@ from collections import Counter
 import pytest
 
 from juna.bitcodec import BitString, bit_long_shadow
-from juna.compress import Digest, digest, parse_digest, render
+from juna.compress import Digest, digest
 from juna.errors import (
     DomainError,
     LengthMismatchError,
-    ParseError,
     ZeroMessageError,
 )
 from juna.params import PublicParams, initialize
@@ -138,31 +137,10 @@ def test_digest_rejects_foreign_context(toy_pub, tiny_pub):
         digest(toy_pub, BitString.from_string("1" * 8), tiny_pub.context())
 
 
-def test_render_examples():
-    assert render(Digest(value=64, m=12)) == "040"
-    assert render(Digest(value=1, m=80)) == "0" * 19 + "1"
-    assert len(render(Digest(value=1, m=80))) == 20
-
-
-def test_render_parse_round_trip():
-    rng = random.Random(4)
-    for _ in range(200):
-        m = rng.choice((7, 12, 20, 80))
-        value = rng.randrange(1, 1 << m)
-        d = Digest(value=value, m=m)
-        assert parse_digest(render(d), m) == d
-
-
-def test_parse_digest_errors():
-    with pytest.raises(ParseError):
-        parse_digest("zz", 8)
-    with pytest.raises(ParseError):
-        parse_digest("0", 12)  # wrong width
-    with pytest.raises(ParseError):
-        parse_digest("000", 12)  # zero value out of range
-    for text in ("0x1", "+01", "1_1", "-01"):
-        with pytest.raises(ParseError):
-            parse_digest(text, 12)  # right width, but not bare hex digits
+def test_hex_is_fixed_width():
+    assert Digest(value=64, m=12).hex == "040"
+    assert Digest(value=1, m=80).hex == "0" * 19 + "1"
+    assert str(Digest(value=1, m=80)) == Digest(value=1, m=80).hex
 
 
 def test_mulcount_survives_concurrent_hashing(toy_pub):

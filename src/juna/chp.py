@@ -25,6 +25,10 @@ class ChpParams:
     beta: int
 
     def __post_init__(self):
+        # one representative per residue: 5 and 28 mod 23 are one generator
+        for name, g in (("alpha", self.alpha), ("beta", self.beta)):
+            if not 1 < g < self.p - 1:
+                raise DomainError(f"{name} must lie in (1, p - 1)")
         if self.alpha == self.beta:
             raise DomainError("generators must differ")
 

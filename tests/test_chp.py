@@ -33,6 +33,13 @@ def test_setup_deterministic_given_seed():
     assert validate_chp(a)
 
 
+def test_generators_are_reduced_mod_p():
+    # 28 is 5 mod 23: with both, w = (3, 4) and (4, 3) hashed alike
+    for alpha, beta in ((5, 28), (28, 5), (0, 5), (1, 5), (22, 5), (5, 22)):
+        with pytest.raises(DomainError, match=r"must lie in \(1, p - 1\)"):
+            ChpParams(p=23, alpha=alpha, beta=beta)
+
+
 def test_hash_examples():
     params = ChpParams(p=23, alpha=5, beta=7)
     assert chp_hash(params, 3, 4) == 21
@@ -112,7 +119,7 @@ def test_validate_tests_q_once_and_proves_p(tested):
 
 def test_parse_round_trip_at_the_digit_cap():
     top = 10**MAX_INT_DIGITS - 1
-    params = ChpParams(p=top, alpha=top - 1, beta=top - 2)
+    params = ChpParams(p=top, alpha=top - 2, beta=top - 3)
     text = serialize_chp(params)
     assert len(text) <= MAX_FILE_BYTES
     assert parse_chp(text) == params

@@ -2,13 +2,17 @@ import contextlib
 import dataclasses
 import hashlib
 import io
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from juna import params
 from juna.attacks import MAX_INSTANCE_BYTES
 from juna.bitcodec import BitString
 from juna.cli import main
@@ -251,11 +255,12 @@ _NOT_CHP = "error: p is not a safe prime, or alpha or beta does not generate its
         ("CHP 2\np=21\nalpha=2\nbeta=3\n", _NOT_CHP),  # p composite
         ("CHP 2\np=19\nalpha=2\nbeta=3\n", _NOT_CHP),  # p prime, q = 9 composite
         ("CHP 2\np=23\nalpha=4\nbeta=5\n", _NOT_CHP),  # 4 is a square mod 23
-        ("CHP 2\np=23\nalpha=0\nbeta=5\n", _NOT_CHP),
+        ("CHP 2\np=23\nalpha=0\nbeta=5\n", "error: alpha must lie in (1, p - 1)\n"),
+        ("CHP 2\np=23\nalpha=5\nbeta=28\n", "error: beta must lie in (1, p - 1)\n"),  # 28 = 5 mod 23
         ("CHP 1\np=23\nq=11\nalpha=5\nbeta=7\n", "error: line 1: unknown header 'CHP 1'\n"),
         ("CHP 2\np=23\nalpha=5\nbeta=7\n", None),
     ],
-    ids=["p-composite", "q-composite", "alpha-square", "alpha-zero", "chp-1", "valid"],
+    ids=["p-composite", "q-composite", "alpha-square", "alpha-zero", "beta-unreduced", "chp-1", "valid"],
 )
 def test_chp_hash_checks_what_it_reads(text, err, tmp_path, capsys):
     path = tmp_path / "chp.txt"
@@ -375,17 +380,41 @@ def test_production_keygen_validate_bench_flow(tmp_path, capsys):
     assert vals["bound_respected"] == "true"
 
 
-def test_keygen_232_4096_is_byte_identical(tmp_path, capsys):
-    # the safe-prime search must keep every verdict, so the seeded keys stay put
-    pub, priv = tmp_path / "k.pub", tmp_path / "k.priv"
-    rc = main(["keygen", "--seed", "4096", "--m", "232", "--n", "4096", "--p-bits", "32",
-               "--nbar", "4096", "--out-pub", str(pub), "--out-priv", str(priv)])
+KEYGEN_4096 = ["keygen", "--seed", "4096", "--m", "232", "--n", "4096", "--p-bits", "32",
+               "--nbar", "4096"]
+PUB_4096_SHA256 = "dc485de865ed5369e8f2e7183c14fa307f5b60f451d0511ae6336ba3a7c3e13f"
+PRIV_4096_SHA256 = "d9be3cffae1495a5fbdf68b4f3726db15c846463b0590cb03e1425b50be0aeef"
+
+
+@pytest.fixture(scope="module")
+def keygen_4096(tmp_path_factory):
+    """The in-process keygen at seed 4096, 232/4096: its stdout, the two
+    files, and the multiplications counted on find_safe_prime's context."""
+    base = tmp_path_factory.mktemp("k4096")
+    pub, priv = base / "k.pub", base / "k.priv"
+    contexts = []
+    real = params.find_safe_prime
+
+    def recording(*args, **kwargs):
+        contexts.append(real(*args, **kwargs))
+        return contexts[-1]
+
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
+        mp.setattr(params, "find_safe_prime", recording)
+        rc = main(KEYGEN_4096 + ["--out-pub", str(pub), "--out-priv", str(priv)])
     assert rc == 0
-    assert hashlib.sha256(pub.read_bytes()).hexdigest() == (
-        "dc485de865ed5369e8f2e7183c14fa307f5b60f451d0511ae6336ba3a7c3e13f")
-    assert hashlib.sha256(priv.read_bytes()).hexdigest() == (
-        "d9be3cffae1495a5fbdf68b4f3726db15c846463b0590cb03e1425b50be0aeef")
-    M = int(grab(capsys)["M"])
+    return out.getvalue(), pub, priv, contexts[0].mulcount
+
+
+def test_keygen_232_4096_is_byte_identical(keygen_4096, capsys):
+    # the safe-prime search must keep every verdict, so the seeded keys stay put
+    out, pub, priv, mulcount = keygen_4096
+    assert hashlib.sha256(pub.read_bytes()).hexdigest() == PUB_4096_SHA256
+    assert hashlib.sha256(priv.read_bytes()).hexdigest() == PRIV_4096_SHA256
+    # the search, the order checks and the initial values, however split
+    assert mulcount == 1511797
+    M = int(dict(line.split("=", 1) for line in out.splitlines())["M"])
     assert main(["validate", "--pub", str(pub)]) == 0
     assert capsys.readouterr().out.splitlines() == [
         f"PASS modulus_prime (M = {M})",
@@ -395,6 +424,29 @@ def test_keygen_232_4096_is_byte_identical(tmp_path, capsys):
         "PASS initial_values_range",
         "PASS initial_values_distinct",
     ]
+
+
+def test_forked_keygen_leaves_stdout_alone(keygen_4096, tmp_path):
+    # stdout on a pipe is block-buffered, and keygen prints seed= before it
+    # forks: a child that flushed the buffer on its way out would repeat it
+    out, in_process_pub, in_process_priv, _ = keygen_4096
+    pub, priv = tmp_path / "k.pub", tmp_path / "k.priv"
+    env = dict(os.environ, PYTHONPATH=str(Path(params.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-X", "importtime", "-m", "juna.cli", *KEYGEN_4096,
+         "--out-pub", str(pub), "--out-priv", str(priv)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("seed=4096") == 1
+    assert proc.stdout == out.replace(str(in_process_pub), str(pub)).replace(
+        str(in_process_priv), str(priv))
+    assert hashlib.sha256(pub.read_bytes()).hexdigest() == PUB_4096_SHA256
+    assert hashlib.sha256(priv.read_bytes()).hexdigest() == PRIV_4096_SHA256
+    # -X importtime lists every module imported: no process pool came in
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+    assert not {m for m in imported if m.split(".")[0] in ("multiprocessing", "concurrent")}
 
 
 @pytest.mark.parametrize(

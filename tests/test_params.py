@@ -1,6 +1,8 @@
 import builtins
 import dataclasses
+import os
 import random
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -682,3 +684,85 @@ def test_batch_test_passes_consistent_values_with_even_delta(toy_priv):
     lines = validate(pub, priv).lines()
     assert "FAIL delta_invertible" in lines
     assert any(l.startswith("PASS initial_values_consistent (batch test") for l in lines)
+
+
+# Keygen's initial values in forked parts.
+
+# The 232-bit safe prime of keygen at seed 4096, --m 232.
+M232 = 4997464105296651671487586932735032660345060982367994914078607644897439
+
+
+@pytest.fixture(scope="module")
+def values_232():
+    """1030 pairs at 232 bits, with the values and count of one
+    ModContext.mod_pow and mod_mul call at a time."""
+    rng = random.Random(12)
+    A = [rng.randrange(2, 1 << 32) for _ in range(1030)]
+    ell = [rng.choice((-1, 1)) * rng.randrange(5, 8196, 2) for _ in A]
+    W, delta = rng.randrange(2, M232 - 1), rng.randrange(2, M232 - 1)
+    ctx = ModContext(M232)
+    C = tuple(ctx.mod_pow(ctx.mod_mul(a, ctx.mod_pow(W, l)), delta) for a, l in zip(A, ell))
+    return (A, ell, W, delta), C, ctx.mulcount
+
+
+@pytest.mark.parametrize(
+    "failure", [None, "fork-refused", "child-raises", "child-short", "pin-refused"])
+def test_forked_parts_give_the_serial_values_and_count(values_232, failure, monkeypatch):
+    args, C, mulcount = values_232
+    A = args[0]
+    affinity = getattr(os, "sched_getaffinity", lambda pid: None)
+    before = affinity(0)
+    parent, real, computed_here = os.getpid(), params._initial_values_part, []
+
+    def part(M, W, w_inv, delta, A_part, ell_part):
+        values = real(M, W, w_inv, delta, A_part, ell_part)
+        if os.getpid() == parent:
+            computed_here.append((len(values), affinity(0)))
+        elif A_part[-1] == A[-1] and failure == "child-raises":
+            raise RuntimeError("the child of the last part fails")
+        elif A_part[-1] == A[-1] and failure == "child-short":
+            return values[:-1]
+        return values
+
+    def refused(*args):
+        raise OSError("refused")
+
+    monkeypatch.setattr(params, "_initial_values_part", part)
+    monkeypatch.setattr(params, "_part_count", lambda n: 3)
+    if failure == "fork-refused":
+        monkeypatch.setattr(params.os, "fork", refused)
+    if failure == "pin-refused":
+        monkeypatch.setattr(params.os, "sched_setaffinity", refused, raising=False)
+    ctx = ModContext(M232)
+    assert params._compute_initial_values(ctx, *args) == C
+    assert ctx.mulcount == mulcount
+    # parts of 343, 343 and 344: this process computes the first, and each
+    # part whose child failed; it accepts no short part
+    sizes = {"fork-refused": [343, 343, 344], "child-raises": [343, 344], "child-short": [343, 344]}
+    assert [size for size, _ in computed_here] == sizes.get(failure, [343])
+    if before is not None:
+        # one CPU of its own for the first part, where pinning is allowed,
+        # and the caller's CPUs back afterwards
+        assert computed_here[0][1] == (before if failure == "pin-refused" else {min(before)})
+        assert affinity(0) == before
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)  # every child was reaped
+
+
+def test_part_count_reads_cpus_values_threads_and_fork(monkeypatch):
+    monkeypatch.setattr(params.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    assert [params._part_count(n) for n in (96, 1023, 1024, 4096)] == [1, 1, 2, 4]
+    monkeypatch.delattr(params.os, "sched_getaffinity")
+    monkeypatch.setattr(params.os, "cpu_count", lambda: 3)
+    assert params._part_count(4096) == 3
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        assert params._part_count(4096) == 1  # fork copies no other thread
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    monkeypatch.delattr(params.os, "fork")
+    assert params._part_count(4096) == 1

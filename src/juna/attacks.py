@@ -134,6 +134,14 @@ class BirthdayStats:
     collision_value: int | None = None
 
 
+def check_birthday(pub: PublicParams, mask_bits: int, budget: int) -> None:
+    """DomainError unless birthday_search accepts mask_bits and budget."""
+    if not 1 <= mask_bits <= pub.m:
+        raise DomainError(f"mask_bits must lie in [1, {pub.m}]")
+    if budget < 1:
+        raise DomainError("budget must be at least 1")
+
+
 def birthday_search(
     pub: PublicParams, mask_bits: int, budget: int, seed: int
 ) -> BirthdayStats:
@@ -145,10 +153,7 @@ def birthday_search(
     """
     import random
 
-    if not 1 <= mask_bits <= pub.m:
-        raise DomainError(f"mask_bits must lie in [1, {pub.m}]")
-    if budget < 1:
-        raise DomainError("budget must be at least 1")
+    check_birthday(pub, mask_bits, budget)
     n = pub.n
     mask = (1 << mask_bits) - 1
     rng = random.Random(seed)

@@ -43,14 +43,19 @@ def _generates(ctx: ModContext, g: int) -> bool:
     return g % ctx.M != 0 and multiplicative_order_safe(ctx, g) == ctx.M - 1
 
 
+def check_setup_bits(bits: int) -> None:
+    """DomainError unless chp_setup accepts the width bits."""
+    if not 5 <= bits <= MAX_BITS:
+        raise DomainError(f"need 5 to {MAX_BITS} bits, got {bits}")
+
+
 def chp_setup(bits: int, rng) -> ChpParams:
     """Safe prime of the given width plus the two smallest generators.
 
     The generator scan from 2 upward is deterministic, so the whole
     setup is reproducible from the rng seed alone.
     """
-    if not 5 <= bits <= MAX_BITS:
-        raise DomainError(f"need 5 to {MAX_BITS} bits, got {bits}")
+    check_setup_bits(bits)
     ctx = find_safe_prime(bits, rng)
     found = []
     g = 2

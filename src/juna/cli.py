@@ -74,11 +74,12 @@ def _message_from_args(args, n: int) -> tuple[BitString, bool]:
 def cmd_keygen(args) -> int:
     if not 1 <= args.p_bits <= 32:
         raise DomainError(f"--p-bits must lie in [1, 32], got {args.p_bits}")
+    P = 1 << args.p_bits
+    params.check_init_constraints(args.m, args.n, P, args.nbar, not args.test_mode, args.budget)
     seed = _resolve_seed(args)
     import random
 
     rng = random.Random(seed)
-    P = 1 << args.p_bits
     pub, priv = params.initialize(
         m=args.m,
         n=args.n,
@@ -120,6 +121,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_chp_setup(args) -> int:
+    chp.check_setup_bits(args.bits)
     seed = _resolve_seed(args)
     import random
 
@@ -184,8 +186,9 @@ def cmd_attack_mitm(args) -> int:
 
 
 def cmd_attack_birthday(args) -> int:
-    seed = _resolve_seed(args)
     pub = _load(args.pub)
+    attacks.check_birthday(pub, args.mask_bits, args.budget)
+    seed = _resolve_seed(args)
     stats = attacks.birthday_search(
         pub, mask_bits=args.mask_bits, budget=args.budget, seed=seed
     )

@@ -21,7 +21,7 @@ from .errors import (
     LengthMismatchError,
     SearchExhaustedError,
 )
-from .numtheory import _sieve, is_probable_prime
+from .numtheory import _WORD_PRIMORIAL, _sieve, is_probable_prime
 
 
 @dataclass(frozen=True)
@@ -143,7 +143,8 @@ def generate(n: int, P: int, rng) -> CoprimeSequence:
     """Draw n distinct primes uniformly from [2, P].
 
     Distinct primes trivially satisfy admissibility.  Deterministic for
-    a seeded rng.
+    a seeded rng: each candidate is the value, from the same getrandbits
+    calls, that rng.randrange(2, P + 1) returns in CPython.
     """
     if n < 1:
         raise DomainError("need n >= 1")
@@ -156,9 +157,16 @@ def generate(n: int, P: int, rng) -> CoprimeSequence:
             raise InsufficientPrimesError(f"only {count} primes <= {P}, need {n}")
     picked: list[int] = []
     seen = set()
+    getrandbits = rng.getrandbits
+    width = P - 1
+    k = width.bit_length()
     while len(picked) < n:
-        x = rng.randrange(2, P + 1)
-        if x in seen:
+        x = getrandbits(k)
+        while x >= width:
+            x = getrandbits(k)
+        x += 2
+        # a proper factor below 48 makes x composite
+        if x in seen or gcd(x, _WORD_PRIMORIAL) not in (1, x):
             continue
         if is_probable_prime(x):
             picked.append(x)

@@ -46,6 +46,9 @@ _PRIMORIAL = math.prod(_SMALL_PRIMES)
 # Below the first bound the product of the primes up to 47 does it instead:
 # under 2**60, both gcd operands fit CPython's two-digit fast path.
 _WORD_PRIMORIAL = math.prod(_SMALL_PRIMES[:15])
+# The product of the odd primes 3 to 23.  q(2q + 1) is prime to it exactly
+# when r(2r + 1) is, for r = q mod it: one gcd of two words.
+_SCREEN = math.prod(_SMALL_PRIMES[1:9])
 
 # (bound, bases): below each bound the base set is a proven-deterministic
 # test (Jaeschke 1993; Sorenson and Webster 2015 for the last).
@@ -314,10 +317,11 @@ def find_safe_prime(bits: int, rng, budget: int | None = None) -> ModContext:
 
     Each attempt draws one candidate q uniformly from [2**(bits-2),
     2**(bits-1) - 1], which forces the bit length of M.  Above the small
-    primes, q and M are sieved together (one gcd with the primorial) and
-    then given one base-2 Miller-Rabin round each before the full test of
-    q and the proof of M (Wiener, "Safe Prime Generation with a Combined
-    Sieve", 2003).  Both screens reject only composites, so a seeded rng
+    primes, q and M are sieved together, first by the odd primes to 23
+    through the residue of q, a word, then by one gcd with the primorial,
+    and then given one base-2 Miller-Rabin round each before the full test
+    of q and the proof of M (Wiener, "Safe Prime Generation with a Combined
+    Sieve", 2003).  The screens reject only composites, so a seeded rng
     yields the same M as the full tests alone would.
     """
     if bits < 5:
@@ -328,8 +332,10 @@ def find_safe_prime(bits: int, rng, budget: int | None = None) -> ModContext:
     for _ in range(attempts):
         q = rng.randrange(lo, hi + 1) | 1
         M = 2 * q + 1
+        r = q % _SCREEN
         if q > _SMALL_PRIMES[-1] and (
-            math.gcd(q * M, _PRIMORIAL) != 1
+            math.gcd(r * (2 * r + 1), _SCREEN) != 1
+            or math.gcd(q * M, _PRIMORIAL) != 1
             or not _miller_rabin(q, (2,))
             or not _miller_rabin(M, (2,))
         ):

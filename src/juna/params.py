@@ -130,7 +130,8 @@ def capacity_report(m: int, n: int, nbar: int, P: int) -> dict:
     }
 
 
-def _check_init_constraints(m, n, P, nbar, production):
+def check_init_constraints(m, n, P, nbar, production, budget=None):
+    """DomainError unless initialize accepts these sizes and budget."""
     min_m = PROD_MIN_M if production else TEST_MIN_M
     min_n = PROD_MIN_N if production else TEST_MIN_N
     if n % 2:
@@ -153,6 +154,8 @@ def _check_init_constraints(m, n, P, nbar, production):
         raise DomainError(
             f"capacity rule fails: 2*n^5*nbar*P^5 < 2^{m} for n={n}, nbar={nbar}, P={P}"
         )
+    if budget is not None and budget < 0:
+        raise DomainError(f"budget must be at least 0, got {budget}")
 
 
 # Fewest values in one forked part of _compute_initial_values.  A fork, a
@@ -296,7 +299,7 @@ def initialize(
     about once in 2**m runs) triggers a full redraw of W, delta, and the
     exponent table.
     """
-    _check_init_constraints(m, n, P, nbar, production)
+    check_init_constraints(m, n, P, nbar, production, budget)
     A = coprime.generate(n, P, rng)
     # a safe prime makes the order checks exact
     ctx = find_safe_prime(m, rng, budget=budget)

@@ -89,6 +89,35 @@ def test_keygen_exhausted_budget_is_exit_3(tmp_path, capsys):
     capsys.readouterr()
 
 
+_KEYGEN = ["keygen", "--n", "8", "--p-bits", "10",
+           "--out-pub", "never.pub", "--out-priv", "never.priv", "--seed", "5"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        _KEYGEN + ["--m", "500", "--nbar", "8", "--test-mode"],
+        _KEYGEN + ["--m", "12", "--nbar", "8", "--test-mode", "--budget", "-5"],
+        _KEYGEN + ["--m", "12", "--nbar", "4", "--test-mode"],
+        _KEYGEN + ["--m", "12", "--nbar", "8"],
+        ["chp", "setup", "--bits", "3", "--seed", "1"],
+        ["chp", "setup", "--bits", "100000", "--seed", "1"],
+        ["attack", "birthday", "--mask-bits", "0", "--budget", "5", "--seed", "1"],
+        ["attack", "birthday", "--mask-bits", "81", "--budget", "5", "--seed", "1"],
+        ["attack", "birthday", "--mask-bits", "8", "--budget", "0", "--seed", "1"],
+        ["attack", "birthday", "--mask-bits", "8", "--budget", "5", "--pub", "missing.pub"],
+    ],
+)
+def test_out_of_range_options_are_refused_before_any_output(argv, pub_file, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    if argv[:2] == ["attack", "birthday"] and "--pub" not in argv:
+        argv = argv + ["--pub", pub_file]
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: ")
+    assert not list(tmp_path.iterdir())
+
+
 def test_hash_reference_golden(pub_file, capsys):
     rc = main(
         ["hash", "--pub", pub_file, "--msg-hex", REFERENCE_MSG_HEX, "--bits", "256"]

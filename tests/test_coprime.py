@@ -17,6 +17,7 @@ from juna.errors import (
     LengthMismatchError,
     SearchExhaustedError,
 )
+from search_oracle import generate_by_randrange
 
 
 def test_published_sequences_verify():
@@ -134,6 +135,34 @@ def test_generate_respects_bound_and_seed():
     assert verify(seq)
     again = generate(256, 287117, random.Random(123))
     assert seq == again
+
+
+@pytest.mark.parametrize(
+    "n, P",
+    [(2, 3), (6, 16), (64, 1201), (256, 287117), (256, 1 << 20), (512, 1 << 32)],
+)
+def test_generate_matches_randrange_loop(n, P):
+    # At P = 3 the width is 2, so half the 2-bit draws, 2 and 3, are redrawn.
+    for seed in range(20):
+        rng, oracle_rng = random.Random(seed), random.Random(seed)
+        assert generate(n, P, rng) == generate_by_randrange(n, P, oracle_rng), seed
+        assert rng.getstate() == oracle_rng.getstate(), seed
+
+
+@pytest.mark.parametrize("P", [2, 3, 4, 5, 16, 17, 1201, (1 << 20) + 1, 1 << 32])
+def test_inline_draw_is_randrange(P):
+    # generate draws randrange(2, P + 1) as CPython's _randbelow does: k bits
+    # for k the bit length of the width P - 1, redrawn while out of range.
+    for seed in range(5):
+        rng, inline = random.Random(seed), random.Random(seed)
+        width = P - 1
+        k = width.bit_length()
+        for _ in range(200):
+            x = inline.getrandbits(k)
+            while x >= width:
+                x = inline.getrandbits(k)
+            assert x + 2 == rng.randrange(2, P + 1), (seed, P)
+        assert inline.getstate() == rng.getstate(), (seed, P)
 
 
 def test_generate_insufficient_primes():

@@ -13,6 +13,8 @@ from juna.errors import (
     UnknownFactorizationError,
 )
 from juna.numtheory import (
+    _SCREEN,
+    _SMALL_PRIMES,
     ModContext,
     _miller_rabin,
     _proves_safe_prime,
@@ -31,6 +33,7 @@ from prime_oracle import (
     is_probable_prime_plain,
     strong_lucas_plain,
 )
+from search_oracle import find_safe_prime_unscreened
 
 REFERENCE_M = 636743755563737235857207
 # A prime whose (M-1)/2 = 1099511627791 * 1099511628401 is not.
@@ -423,3 +426,27 @@ def test_find_safe_prime_matches_plain_loop(bits):
         ctx = find_safe_prime(bits, random.Random(seed))
         assert ctx.M == find_safe_prime_plain(bits, random.Random(seed), rounds), seed
         assert ceil_lg(ctx.M) == bits and ctx.q == (ctx.M - 1) // 2
+
+
+@pytest.mark.parametrize(
+    "bits, seeds",
+    [(b, 200) for b in range(5, 17)] + [(32, 100), (64, 50), (232, 5)],
+)
+def test_find_safe_prime_matches_unscreened_loop(bits, seeds):
+    # The word screen rejects only composites, so the search stops at the
+    # same candidate and leaves the rng where the unscreened loop leaves it.
+    # At 5 bits the only safe prime is 23, whose q = 11 divides _SCREEN.
+    for seed in range(seeds):
+        rng, oracle_rng = random.Random(seed), random.Random(seed)
+        assert find_safe_prime(bits, rng).M == find_safe_prime_unscreened(bits, oracle_rng).M, seed
+        assert rng.getstate() == oracle_rng.getstate(), seed
+
+
+def test_screen_primes_are_sieved():
+    # find_safe_prime screens only q > 1999, where a screen prime p <= 1999
+    # dividing q or 2q + 1 is a proper factor of it.
+    rest = _SCREEN
+    for p in _SMALL_PRIMES:
+        while rest % p == 0:
+            rest //= p
+    assert rest == 1

@@ -71,6 +71,11 @@ def test_find_modulus_12bit_against_sieve():
 def test_find_modulus_zero_budget():
     with pytest.raises(SearchExhaustedError):
         initialize(m=12, n=8, P=1201, nbar=8, rng=random.Random(0), budget=0)
+    # a negative budget is refused before the basis draws anything
+    rng = random.Random(0)
+    with pytest.raises(DomainError, match="budget must be at least 0"):
+        initialize(m=12, n=8, P=1201, nbar=8, rng=rng, budget=-1)
+    assert rng.getstate() == random.Random(0).getstate()
 
 
 def test_sample_omega_shape():

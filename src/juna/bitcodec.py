@@ -4,15 +4,17 @@ A message enters the hash as one fixed-width bit string.  Before
 compression each bit is replaced by its shadow (a count folding the
 neighbouring zero runs into the 1-bits) and then by its long shadow
 (the shadow, doubled when the bit halfway across the string is set).
-Both encodings are injective on nonzero strings of even length, and the
-shadow sums are pinned exactly: shadows add up to n, long shadows to
-something between n and 2n.
+Only 1-bits have nonzero shadows, so an encoding is held as the 1-bits'
+positions grouped by count.  Both encodings are injective on nonzero
+strings of even length, and the shadow sums are pinned exactly: shadows
+add up to n, long shadows to something between n and 2n.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from operator import lshift
+from itertools import compress, repeat
 from string import hexdigits
 
 from .errors import (
@@ -89,23 +91,44 @@ class BitString:
         return self.n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ShadowString:
     """Shadow or long-shadow counts of a nonzero n-bit string.
 
-    Entries lie in [0, n] and sum into [n, 2n]: plain shadows sum to n
-    exactly, and long shadows add each doubled entry once more.
+    groups maps each nonzero count to the ascending positions holding it;
+    the n entries, .values, are built when read.  They lie in [0, n] and
+    sum into [n, 2n]: plain shadows sum to n exactly, and long shadows add
+    each doubled entry once more.  Equality and hash go by the entries.
     """
 
-    values: tuple[int, ...]
+    n: int
+    groups: dict[int, list[int]]
 
-    def __post_init__(self):
-        n = len(self.values)
-        distinct = set(self.values)  # few distinct counts: cheaper than min/max over all
-        if not distinct or min(distinct) < 0 or max(distinct) > n:
+    def __init__(self, values):
+        groups = defaultdict(list)
+        for i, v in enumerate(values):
+            if v:
+                groups[v].append(i)
+        self._freeze(len(values), groups)
+
+    def _freeze(self, n: int, groups):
+        if not n or min(groups, default=0) < 0 or max(groups, default=0) > n:
             raise DomainError("shadow entries must lie in [0, n]")
-        if not n <= sum(self.values) <= 2 * n:
+        if not n <= sum(v * len(ps) for v, ps in groups.items()) <= 2 * n:
             raise DomainError(f"shadow entries must sum into [{n}, {2 * n}]")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "groups", dict(groups))
+
+    @property
+    def values(self) -> tuple[int, ...]:
+        out = [0] * self.n
+        for v, ps in self.groups.items():
+            for i in ps:
+                out[i] = v
+        return tuple(out)
+
+    def __hash__(self):
+        return hash(self.values)
 
     @classmethod
     def from_string(cls, text: str) -> "ShadowString":
@@ -120,25 +143,28 @@ class ShadowString:
         return cls(tuple(map(int, tokens)))
 
     def __str__(self) -> str:
-        sep = "" if max(self.values) <= 9 else " "
+        sep = "" if max(self.groups) <= 9 else " "
         return sep.join(map(str, self.values))
 
     def __len__(self):
-        return len(self.values)
+        return self.n
 
 
-def _shadows(bits: str) -> list[int]:
+def _encode(bits: str, partners) -> ShadowString:
+    """Group the 1-bits of bits by shadow, each shifted left by its partner
+    bit; partners yields one 0/1 per 1-bit, leftmost first."""
     # runs[k] is the zero run before the (k+1)-th 1-bit, runs[-1] the tail
     runs = bits.split("1")
     if len(runs) == 1:
         raise ZeroMessageError("message must contain at least one 1-bit")
-    out = [0] * len(bits)
-    i = -1
-    for run in runs[:-1]:
-        step = len(run) + 1
-        i += step
-        out[i] = step
-    out[len(runs[0])] += len(runs[-1])
+    groups = defaultdict(list)
+    i = len(runs[0])
+    groups[(i + 1 + len(runs[-1])) << next(partners)].append(i)
+    for run, partner in zip(runs[1:-1], partners):
+        i += len(run) + 1
+        groups[(len(run) + 1) << partner].append(i)
+    out = object.__new__(ShadowString)
+    out._freeze(len(bits), groups)
     return out
 
 
@@ -150,7 +176,7 @@ def bit_shadow(msg: BitString) -> ShadowString:
     run of zeros after the rightmost 1-bit, so every zero is charged to
     exactly one 1-bit and the counts sum to n.
     """
-    return ShadowString(tuple(_shadows(str(msg))))
+    return _encode(str(msg), repeat(0))
 
 
 def bit_long_shadow(msg: BitString) -> ShadowString:
@@ -158,9 +184,9 @@ def bit_long_shadow(msg: BitString) -> ShadowString:
     across the string is set."""
     s = str(msg)
     half = len(s) // 2
-    # rotating by half lines each value up with its partner bit
-    partners = (s[half:] + s[:half]).encode().translate(_ZERO_ONE)
-    return ShadowString(tuple(map(lshift, _shadows(s), partners)))
+    mask = s.encode().translate(_ZERO_ONE)
+    # rotating by half lines each bit up with its partner
+    return _encode(s, compress(mask[half:] + mask[:half], mask))
 
 
 def recover_bits(ls: ShadowString) -> BitString:
@@ -169,7 +195,8 @@ def recover_bits(ls: ShadowString) -> BitString:
     A position is a 1-bit exactly when its long shadow is nonzero.  The
     recovered string is re-encoded as a consistency check.
     """
-    candidate = BitString.from_string("".join("1" if v else "0" for v in ls.values))
+    ones = (i for ps in ls.groups.values() for i in ps)
+    candidate = BitString(sum(1 << (ls.n - 1 - i) for i in ones), ls.n)
     if bit_long_shadow(candidate) != ls:
         raise InconsistentEncodingError(
             "no bit string produces this long-shadow string"

@@ -1,8 +1,9 @@
 """The compression step: an n-bit nonzero message to an m-bit digest.
 
 The digest is the product of the public initial values raised to the
-message's long shadows, reduced modulo M, evaluated as one bucketed
-multi-exponentiation (ModContext.multi_pow).
+message's long shadows, reduced modulo M: one bucketed multi-exponentiation
+(ModContext.grouped_pow) over the 1-bits as the codec groups them by long
+shadow, so positions with a zero long shadow cost nothing.
 """
 
 from __future__ import annotations
@@ -52,5 +53,5 @@ def digest(pub: PublicParams, msg: BitString, ctx: ModContext | None = None) -> 
         raise DomainError("context modulus does not match parameters")
     if len(msg) != pub.n:
         raise LengthMismatchError(f"message has {len(msg)} bits, parameters want {pub.n}")
-    value = ctx.multi_pow(zip(pub.C, bit_long_shadow(msg).values))
+    value = ctx.grouped_pow(pub.C, bit_long_shadow(msg).groups)
     return Digest(value=value, m=pub.m)

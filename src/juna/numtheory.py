@@ -12,6 +12,8 @@ from __future__ import annotations
 import itertools
 import math
 import threading
+from collections import defaultdict
+from operator import itemgetter
 
 from .errors import (
     CompositeSafeFormError,
@@ -217,34 +219,42 @@ class ModContext:
         return self.multi_pow(((base, exponent),))
 
     def multi_pow(self, pairs) -> int:
-        """Product of base**exponent mod M over (base, exponent >= 0) pairs.
-
-        Yao's method, the bucket step of Pippenger's algorithm: bases sharing
-        an exponent go into one bucket; walking the exponents down, a running
-        product of the buckets is raised to each gap to the next exponent and
-        folded into the result.  Ticks the exact count once per call.
-        """
-        M = self.M
-        buckets: dict[int, int] = {}
-        nonzero = 0
+        """Product of base**exponent mod M over (base, exponent >= 0) pairs:
+        grouped_pow over the bases with a positive exponent, grouped by it."""
+        bases, groups = [], defaultdict(list)
         for base, e in pairs:
             if e > 0:
-                b = buckets.get(e)
-                buckets[e] = base % M if b is None else b * base % M
-                nonzero += 1
+                groups[e].append(len(bases))
+                bases.append(base)
             elif e:
                 raise DomainError(f"multi_pow needs exponents >= 0, got {e}")
-        if not buckets:
+        return self.grouped_pow(bases, groups)
+
+    def grouped_pow(self, bases, groups) -> int:
+        """Product of bases[i]**e mod M over each exponent e >= 1 in groups
+        and each position i in groups[e], by Yao's method (the bucket step of
+        Pippenger's algorithm): walking the exponents down, a running product
+        takes in each group and is raised to the gap to the next exponent.
+        c bases over k exponents cost c + k - 2 products plus each gap's
+        square-and-multiply, ticked once per call."""
+        M = self.M
+        levels = sorted(groups, reverse=True)
+        if not levels:
             return 1
-        levels = sorted(buckets, reverse=True) + [0]
-        running = buckets[levels[0]]
-        acc, muls = _square_multiply(running, levels[0] - levels[1], M)
-        muls += nonzero - len(buckets)
-        for e, below in zip(levels[1:], levels[2:]):
-            running = running * buckets[e] % M
+        if levels[-1] < 1:
+            raise DomainError(f"grouped_pow needs exponents >= 1, got {levels[-1]}")
+        running = acc = 1
+        muls = -2  # the first group's first product and first fold are by 1
+        for e, below in zip(levels, levels[1:] + [0]):
+            ps = groups[e]
+            if len(ps) == 1:
+                running = running * bases[ps[0]] % M
+            else:
+                for c in itemgetter(*ps)(bases):
+                    running = running * c % M
             term, k = _square_multiply(running, e - below, M)
             acc = acc * term % M
-            muls += k + 2
+            muls += len(ps) + 1 + k
         self._tick(muls)
         return acc
 

@@ -1,11 +1,39 @@
-"""The paper's single-pass shadow encoder, for the tests only.
+"""Dense shadow encoders, for the tests only.
 
-It walks the bits once with a running zero counter, which shares no
-code with the run-splitting encoder behind juna.bitcodec.bit_shadow.
+bit_shadow_streaming is the paper's single-pass encoder: it walks the bits
+once with a running zero counter.  dense_shadows and dense_long_shadows
+fill one entry per position from the zero runs, as juna.bitcodec did
+before it grouped the 1-bits by value.
 """
+
+from operator import lshift
 
 from juna.bitcodec import BitString, ShadowString
 from juna.errors import ZeroMessageError
+
+
+def dense_shadows(bits: str) -> list[int]:
+    """The shadow of every position of a 0/1 string."""
+    # runs[k] is the zero run before the (k+1)-th 1-bit, runs[-1] the tail
+    runs = bits.split("1")
+    if len(runs) == 1:
+        raise ZeroMessageError("message must contain at least one 1-bit")
+    out = [0] * len(bits)
+    i = -1
+    for run in runs[:-1]:
+        step = len(run) + 1
+        i += step
+        out[i] = step
+    out[len(runs[0])] += len(runs[-1])
+    return out
+
+
+def dense_long_shadows(bits: str) -> list[int]:
+    """The long shadow of every position: the shadow, doubled when the
+    bit halfway across the string is set."""
+    half = len(bits) // 2
+    partners = [b == "1" for b in bits[half:] + bits[:half]]
+    return list(map(lshift, dense_shadows(bits), partners))
 
 
 def bit_shadow_streaming(msg: BitString) -> ShadowString:

@@ -25,7 +25,7 @@ from juna.errors import (
     ZeroMessageError,
 )
 
-from shadow_oracle import bit_shadow_streaming
+from shadow_oracle import bit_shadow_streaming, dense_long_shadows, dense_shadows
 
 
 def bs(text):
@@ -281,3 +281,51 @@ def test_fuzz_codec_round_trip(case):
     assert n <= sum(ls.values) <= 2 * n
     assert sh == bit_shadow_streaming(msg)
     assert recover_bits(ls) == msg
+
+
+def check_codec(msg):
+    """Both encoders against the dense oracle, and the grouped form's own
+    invariants: one position per 1-bit, and a ShadowString rebuilt from the
+    dense entries equal to the codec's, hash included."""
+    bits = str(msg)
+    ones = [i for i, b in enumerate(bits) if b == "1"]
+    for encode, oracle in ((bit_shadow, dense_shadows), (bit_long_shadow, dense_long_shadows)):
+        sh = encode(msg)
+        assert sh.values == tuple(oracle(bits))
+        assert len(sh) == sh.n == msg.n
+        assert sorted(i for ps in sh.groups.values() for i in ps) == ones
+        assert all(ps == sorted(ps) for ps in sh.groups.values())
+        rebuilt = ShadowString(sh.values)
+        assert rebuilt == sh and hash(rebuilt) == hash(sh)
+        assert rebuilt.groups == sh.groups
+
+
+def test_codec_matches_dense_oracle_exhaustive():
+    for n in range(MIN_BITS, 13, 2):
+        for v in range(1, 1 << n):
+            check_codec(BitString.from_int(v, n))
+
+
+@_FUZZ
+@given(_MESSAGES)
+def test_fuzz_codec_matches_dense_oracle(case):
+    check_codec(BitString.from_int(*case))
+
+
+def test_one_bit_message_is_one_group():
+    n = MAX_BITS
+    for i in (0, 1, n // 2 - 1, n // 2, n - 1):
+        msg = BitString.from_int(1 << (n - 1 - i), n)
+        assert bit_shadow(msg).groups == {n: [i]}
+        assert bit_long_shadow(msg).groups == {n: [i]}
+
+
+def test_shadow_string_is_immutable():
+    for sh in (bit_long_shadow(bs("01010110")), ShadowString((0, 3, 0, 2, 0, 2, 1, 0))):
+        before = sh.values
+        for name in ("n", "groups", "values", "other"):
+            with pytest.raises(AttributeError):
+                setattr(sh, name, 1)
+        with pytest.raises(AttributeError):
+            del sh.n
+        assert sh.values == before

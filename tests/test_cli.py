@@ -455,6 +455,22 @@ def test_keygen_232_4096_is_byte_identical(keygen_4096, capsys):
     ]
 
 
+
+def test_hash_digests_are_pinned(keygen_4096, capsys):
+    # values read from the dense codec and the per-pair multi_pow, so any
+    # later rewrite of the digest path must reproduce them byte for byte
+    _, pub_4096, _, _ = keygen_4096
+    bundled = Path(params.__file__).parent / "data" / "m80_n256.pub"
+    for pub, bits, expected, mulcount in (
+        (pub_4096, 4096, "13476d6e144fe22dde26042d606f1ce74482574fb1cd3a2eb14f303a86", "2052"),
+        (bundled, 256, "468e432aca166325f4cb", "132"),
+    ):
+        argv = ["hash", "--pub", str(pub), "--msg-hex", "a5" * (bits // 8), "--bits", str(bits)]
+        assert main(argv) == 0
+        vals = grab(capsys)
+        assert (vals["digest"], vals["mulcount"]) == (expected, mulcount)
+
+
 def test_forked_keygen_leaves_stdout_alone(keygen_4096, tmp_path):
     # stdout on a pipe is block-buffered, and keygen prints seed= before it
     # forks: a child that flushed the buffer on its way out would repeat it

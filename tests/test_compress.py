@@ -143,6 +143,27 @@ def test_hex_is_fixed_width():
     assert str(Digest(value=1, m=80)) == Digest(value=1, m=80).hex
 
 
+
+def test_grouped_and_dense_forms_count_expected_muls(reference_pub, wide_pub):
+    # the digest's grouped walk and multi_pow over the dense (C_i, e_i)
+    # pairs are the same computation: same value, same count
+    rng = random.Random(77)
+    for pub in (reference_pub, wide_pub):
+        ctx = pub.context()
+        texts = adversarial_messages(pub.n)
+        texts += [format(rng.getrandbits(pub.n) or 1, f"0{pub.n}b") for _ in range(20)]
+        for text in texts:
+            msg = BitString.from_string(text)
+            ls = bit_long_shadow(msg)
+            counts = [ctx.mulcount]
+            grouped = ctx.grouped_pow(pub.C, ls.groups)
+            counts.append(ctx.mulcount)
+            dense = ctx.multi_pow(zip(pub.C, ls.values))
+            counts.append(ctx.mulcount)
+            assert grouped == dense == digest_oracle(pub, msg).value
+            assert counts[1] - counts[0] == counts[2] - counts[1] == expected_muls(msg)
+
+
 def test_mulcount_survives_concurrent_hashing(toy_pub):
     # the counter must not lose updates under concurrent digest calls
     import threading

@@ -232,6 +232,45 @@ def test_multi_pow_agrees_with_pow_and_counts_once():
         ctx.multi_pow([(3, 2), (5, -1)])
 
 
+def test_grouped_pow_agrees_with_multi_pow_and_pow():
+    M = 1009
+    ctx = ModContext(M)
+    rng = random.Random(23)
+    for _ in range(300):
+        bases = [rng.randrange(1, 3000) for _ in range(rng.randrange(0, 12))]
+        exps = [rng.randrange(1, 40) for _ in bases]
+        groups = {}
+        for i, e in enumerate(exps):
+            groups.setdefault(e, []).append(i)
+        expected = math.prod(pow(b, e, M) for b, e in zip(bases, exps)) % M
+        # c bases over k exponents: c + k - 2 products, plus each gap's
+        # square-and-multiply, the last gap taken down to 0
+        levels = sorted(groups, reverse=True) + [0]
+        gaps = [e - below for e, below in zip(levels, levels[1:])]
+        muls = len(bases) + len(groups) - 2 if bases else 0
+        muls += sum(g.bit_length() + g.bit_count() - 2 for g in gaps)
+        before = ctx.mulcount
+        assert ctx.grouped_pow(bases, groups) == expected
+        assert ctx.mulcount - before == muls
+        # zero exponents are skipped, at no cost
+        pairs = list(zip(bases, exps)) + [(b, 0) for b in bases[:3]]
+        rng.shuffle(pairs)
+        before = ctx.mulcount
+        assert ctx.multi_pow(pairs) == expected
+        assert ctx.mulcount - before == muls
+
+
+def test_grouped_pow_and_multi_pow_refuse_nonpositive_exponents():
+    ctx = ModContext(1009)
+    for groups in ({2: [0], 0: [1]}, {-1: [0, 1]}):
+        with pytest.raises(DomainError):
+            ctx.grouped_pow([3, 5], groups)
+    with pytest.raises(DomainError):
+        ctx.multi_pow([(3, 2), (5, 0), (7, -4)])
+    assert ctx.mulcount == 0
+    assert ctx.multi_pow([(3, 0), (5, 0)]) == ctx.grouped_pow([], {}) == 1
+
+
 def _bits_of_exponents(pairs, bits, M):
     """The per-bit subset products, one base at a time."""
     out = []

@@ -11,6 +11,7 @@ hash.
 
 from __future__ import annotations
 
+import functools
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,12 +21,21 @@ from .bitcodec import BitString, bit_long_shadow
 from .compress import digest
 from .errors import DomainError, InstanceTooLargeError, ParseError
 from .numtheory import ceil_lg
-from .params import PublicParams
+from .params import PublicParams, _Forked, _part_count
 
 MITM_CAP = 40
 COLLISION_CAP = 12
 
 BIRTHDAY_COEFFICIENT = 1.1774  # sqrt(2 ln 2), inputs for a 50% collision
+
+# Messages per chunk of birthday_search's stream, and the least expected
+# work, in message bits digested, per process of a forked search.  A fork,
+# its pipe, its copy-on-write faults and its reaping cost 3-5 ms per search
+# on a 2-vCPU Xeon with Python 3.11; 2**16 bits are 256 digests at n = 256,
+# about 20 ms there.  A search forks only from 2**17 expected bits: the
+# bundled parameters from 18 masked bits and n = 32 from 24.
+SEARCH_CHUNK = 64
+MIN_SEARCH_WORK = 1 << 16
 
 # Caps on an instance file; both lie far above any instance the solvers
 # take, and the digit cap below Python's 4300-digit int() limit.
@@ -142,6 +152,36 @@ def check_birthday(pub: PublicParams, mask_bits: int, budget: int) -> None:
         raise DomainError("budget must be at least 1")
 
 
+def _draws(rng, n: int, budget: int):
+    """The search's budget messages as nonzero n-bit ints drawn from rng, in
+    lists of SEARCH_CHUNK (the last may be shorter)."""
+    for start in range(0, budget, SEARCH_CHUNK):
+        chunk = []
+        for _ in range(min(SEARCH_CHUNK, budget - start)):
+            v = 0
+            while v == 0:
+                v = rng.getrandbits(n)
+            chunk.append(v)
+        yield chunk
+
+
+def _digest_chunks(pub: PublicParams, rng, mask: int, width: int, budget: int, worker: int,
+                   workers: int):
+    """For each chunk j of the stream with j % workers == worker, one record
+    per message: (multiplications << mask_bits) | truncated digest, as
+    `width` big-endian bytes."""
+    ctx = pub.context()
+    shift = mask.bit_length()
+    for j, chunk in enumerate(_draws(rng, pub.n, budget)):
+        if j % workers == worker:
+            records = []
+            for v in chunk:
+                before = ctx.mulcount
+                t = digest(pub, BitString.from_int(v, pub.n), ctx).value & mask
+                records.append(((ctx.mulcount - before) << shift | t).to_bytes(width, "big"))
+            yield b"".join(records)
+
+
 def birthday_search(
     pub: PublicParams, mask_bits: int, budget: int, seed: int
 ) -> BirthdayStats:
@@ -150,32 +190,55 @@ def birthday_search(
     Digests are truncated to their low mask_bits bits purely so that
     collisions become reachable in a test run; messages come from the
     rng seeded with seed.
+
+    The stream is cut into chunks of SEARCH_CHUNK messages, and chunk j is
+    digested by process j % W, for W processes from params._part_count
+    with at least MIN_SEARCH_WORK of the expected min(budget, threshold) * n
+    each.  The W - 1 children replay the stream and send back each digest's
+    truncated value and count; this process draws every message, digests its
+    own chunks and checks the table strictly in stream order, charging the
+    context a child's count only for the records it checks.  A chunk whose
+    child died is digested here.  So the result and the count are those of
+    one process for every W.
     """
     import random
 
     check_birthday(pub, mask_bits, budget)
     n = pub.n
     mask = (1 << mask_bits) - 1
-    rng = random.Random(seed)
+    ctx = pub.context()
     seen: dict[int, int] = {}
     threshold = BIRTHDAY_COEFFICIENT * 2 ** (mask_bits / 2)
+    workers = _part_count(int(min(budget, threshold) * n), MIN_SEARCH_WORK)
+    width = (mask_bits + 32 + 7) // 8  # bytes per record, 32 bits for the count
+    producers = [
+        functools.partial(_digest_chunks, pub, random.Random(seed), mask, width, budget, w, workers)
+        for w in range(1, workers)
+    ]
+    trials = 0
 
-    for trials in range(1, budget + 1):
-        v = 0
-        while v == 0:
-            v = rng.getrandbits(n)
-        msg = BitString.from_int(v, n)
-        t = digest(pub, msg).value & mask
-        prior = seen.setdefault(t, v)
-        if prior != v:
-            return BirthdayStats(
-                trials=trials,
-                collision=(BitString.from_int(prior, n), msg),
-                threshold=threshold,
-                seed=seed,
-                mask_bits=mask_bits,
-                collision_value=t,
-            )
+    with _Forked(producers) as children:
+        for j, chunk in enumerate(_draws(random.Random(seed), n, budget)):
+            w = j % workers
+            data = children.read(w - 1, len(chunk) * width) if w else None
+            for i, v in enumerate(chunk):
+                if data is None:
+                    t = digest(pub, BitString.from_int(v, n), ctx).value & mask
+                else:
+                    record = int.from_bytes(data[i * width : (i + 1) * width], "big")
+                    ctx._tick(record >> mask_bits)
+                    t = record & mask
+                trials += 1
+                prior = seen.setdefault(t, v)
+                if prior != v:
+                    return BirthdayStats(
+                        trials=trials,
+                        collision=(BitString.from_int(prior, n), BitString.from_int(v, n)),
+                        threshold=threshold,
+                        seed=seed,
+                        mask_bits=mask_bits,
+                        collision_value=t,
+                    )
     return BirthdayStats(
         trials=budget,
         collision=None,

@@ -109,13 +109,15 @@ def _strong_lucas(n: int) -> bool:
         if j == 0 and abs(D) != n:
             return False
         D = -D - 2 if D > 0 else -D + 2
-    Q, half = (1 - D) // 4, (n + 1) // 2
+    Q = (1 - D) // 4
     s = ((n + 1) & -(n + 1)).bit_length() - 1
     U, V, Qk = 1, 1, Q % n  # U_1, V_1 and Q**1
     for bit in bin((n + 1) >> s)[3:]:
         U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n  # k -> 2k
-        if bit == "1":  # 2k -> 2k + 1
-            U, V, Qk = (U + V) * half % n, (D * U + V) * half % n, Qk * Q % n
+        if bit == "1":  # 2k -> 2k + 1: halve U + V and D*U + V mod odd n
+            U, V, Qk = U + V, D * U + V, Qk * Q % n
+            U = ((U + n if U & 1 else U) >> 1) % n
+            V = ((V + n if V & 1 else V) >> 1) % n
     if U == 0:
         return True
     for _ in range(s):

@@ -174,13 +174,14 @@ def _pow_muls(e: int) -> int:
     return max(e.bit_length() + e.bit_count() - 2, 0)
 
 
-def _part_count(n: int) -> int:
-    """Parts to split n values into: one per usable CPU, each of at least
-    MIN_PART values, and 1 where fork is missing or unsafe (other threads)."""
+def _part_count(work: int, least: int = MIN_PART) -> int:
+    """Processes to split `work` units over: one per usable CPU, each with
+    at least `least` units, and 1 where fork is missing or unsafe (other
+    threads)."""
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return max(1, min(cpus or 1, n // MIN_PART))
+    return max(1, min(cpus or 1, work // least))
 
 
 def _pin(cpu: int | None) -> bool:
@@ -195,56 +196,102 @@ def _pin(cpu: int | None) -> bool:
     return True
 
 
-def _fork_part(cpu, width, *args) -> tuple[int, int] | None:
-    """Start a child on `cpu` that writes _initial_values_part(*args) to a
-    pipe as `width`-byte big-endian values; (pid, read end), or None if it
-    cannot.
+class _Forked:
+    """Forked children that each write the byte strings of one producer to a
+    pipe while this process reads them, an exact byte count at a time.
 
-    The child leaves by os._exit, so it never returns into the caller, runs
-    no atexit handler and flushes none of the parent's buffers.
+    Used as a context manager around the work of this process.  Entering
+    starts one child per producer; where the system allows it (Linux) this
+    process is held on the first usable CPU and child j on the next, since a
+    new child can share its parent's CPU for hundreds of milliseconds before
+    the scheduler moves it (seen on a 2-vCPU VM).  Leaving kills and reaps
+    every child and restores this process's CPU set, on every exit path.
+    A child leaves by os._exit, so it never returns into the caller, runs no
+    atexit handler and flushes none of the parent's buffers.
     """
-    try:
-        r, w = os.pipe()
-    except OSError:
-        return None
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        return None
-    if pid == 0:
+
+    def __init__(self, producers):
+        self.producers = producers
+        self.children: list[tuple[int, int] | None] = []
+        self.saved: set[int] = set()
+
+    def __enter__(self):
         try:
-            os.close(r)
-            _pin(cpu)
-            data = b"".join(c.to_bytes(width, "big") for c in _initial_values_part(*args))
-            done = 0
-            while done < len(data):
-                done += os.write(w, data[done:])
-            os._exit(0)
+            if self.producers and hasattr(os, "sched_setaffinity"):
+                self.saved = os.sched_getaffinity(0)
+            cpus = sorted(self.saved) or [None]
+            if not _pin(cpus[0]):
+                self.saved = set()
+            for j, produce in enumerate(self.producers, 1):
+                self.children.append(self._start(cpus[j % len(cpus)], produce))
+        except BaseException:
+            self.__exit__()
+            raise
+        return self
+
+    def __exit__(self, *exc_info):
+        try:
+            for j in range(len(self.children)):
+                self._reap(j)
         finally:
-            os._exit(1)
-    os.close(w)
-    return pid, r
+            if self.saved:
+                os.sched_setaffinity(0, self.saved)
 
+    @staticmethod
+    def _start(cpu, produce) -> tuple[int, int] | None:
+        """(pid, read end) of a child on `cpu` writing each byte string of
+        produce() to a pipe, or None if it cannot be started."""
+        try:
+            r, w = os.pipe()
+        except OSError:
+            return None
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(r)
+            os.close(w)
+            return None
+        if pid == 0:
+            try:
+                os.close(r)
+                _pin(cpu)
+                for data in produce():
+                    done = 0
+                    while done < len(data):
+                        done += os.write(w, data[done:])
+                os._exit(0)
+            finally:
+                os._exit(1)
+        os.close(w)
+        return pid, r
 
-def _join_part(child, count: int, width: int) -> list[int] | None:
-    """The values a child wrote, read to EOF after which it is reaped; None
-    unless it exited 0 after writing exactly `count` values."""
-    if child is None:
-        return None
-    pid, r = child
-    chunks = []
-    try:
-        while chunk := os.read(r, 1 << 16):
+    def read(self, j: int, size: int) -> bytes | None:
+        """The next `size` bytes from child j (from 0), or None if it ended
+        before writing them; a child that ended is reaped and reads as None
+        from then on."""
+        child = self.children[j]
+        if child is None:
+            return None
+        chunks = []
+        while size:
+            chunk = os.read(child[1], size)
+            if not chunk:
+                self._reap(j)
+                return None
             chunks.append(chunk)
-    finally:
-        os.close(r)
-        _, status = os.waitpid(pid, 0)
-    data = b"".join(chunks)
-    if status != 0 or len(data) != count * width:
-        return None
-    return [int.from_bytes(data[i : i + width], "big") for i in range(0, len(data), width)]
+            size -= len(chunk)
+        return b"".join(chunks)
+
+    def _reap(self, j: int):
+        """Close child j's pipe, kill it and wait for it, if it is still here."""
+        import signal
+
+        child, self.children[j] = self.children[j], None
+        if child is not None:
+            pid, r = child
+            os.close(r)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _compute_initial_values(ctx, A, ell, W, delta) -> tuple[int, ...]:
@@ -262,23 +309,19 @@ def _compute_initial_values(ctx, A, ell, W, delta) -> tuple[int, ...]:
     cuts = [len(A) * j // k for j in range(k + 1)]
     parts = [(A[lo:hi], ell[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
     width = (M.bit_length() + 7) // 8
-    # A new child can share its parent's CPU for hundreds of milliseconds
-    # before the scheduler moves it (seen on a 2-vCPU VM), so each process
-    # gets one usable CPU of its own until the parts are done.
-    saved = os.sched_getaffinity(0) if k > 1 and hasattr(os, "sched_setaffinity") else set()
-    cpus = sorted(saved) or [None]
-    children, pinned = [], False
-    try:
-        pinned = _pin(cpus[0])
-        for j, (a, l) in enumerate(parts[1:], 1):
-            children.append(_fork_part(cpus[j % len(cpus)], width, M, W, w_inv, delta, a, l))
+
+    def packed(a, l):
+        values = _initial_values_part(M, W, w_inv, delta, a, l)
+        yield b"".join(c.to_bytes(width, "big") for c in values)
+
+    with _Forked([functools.partial(packed, a, l) for a, l in parts[1:]]) as children:
         out = _initial_values_part(M, W, w_inv, delta, *parts[0])
-    finally:
-        if pinned:
-            os.sched_setaffinity(0, saved)
-        joined = [_join_part(child, len(a), width) for child, (a, _) in zip(children, parts[1:])]
-    for part, (a, l) in zip(joined, parts[1:]):
-        out += part if part is not None else _initial_values_part(M, W, w_inv, delta, a, l)
+        joined = [children.read(j, len(a) * width) for j, (a, _) in enumerate(parts[1:])]
+    for data, (a, l) in zip(joined, parts[1:]):
+        if data is None:
+            out += _initial_values_part(M, W, w_inv, delta, a, l)
+        else:
+            out += [int.from_bytes(data[i : i + width], "big") for i in range(0, len(data), width)]
     powers_of_w = sum(_pow_muls(abs(l)) for _, l in zip(A, ell))
     ctx._tick(powers_of_w + len(out) * (1 + _pow_muls(delta)))
     return tuple(out)

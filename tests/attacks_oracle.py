@@ -1,11 +1,21 @@
-"""Exhaustive subset-sum search, the tests' oracle for the meet-in-the-middle
-solver in juna.attacks.
+"""The tests' oracles for juna.attacks.
 
-It enumerates assignments with bound pruning and shares no code with the
-sorted-table split of juna.attacks.mitm_subset_sum.
+Exhaustive subset-sum search is the oracle for the meet-in-the-middle
+solver: it enumerates assignments with bound pruning and shares no code
+with the sorted-table split of juna.attacks.mitm_subset_sum.  The serial
+birthday loop is the oracle for the forked birthday search.
 """
 
-from juna.attacks import SubsetSumInstance
+import random
+
+from juna.attacks import (
+    BIRTHDAY_COEFFICIENT,
+    BirthdayStats,
+    SubsetSumInstance,
+    check_birthday,
+)
+from juna.bitcodec import BitString
+from juna.compress import digest
 from juna.errors import InstanceTooLargeError
 
 BRUTE_CAP = 24
@@ -59,3 +69,34 @@ def brute_force_solve(
     solutions.sort()
     return solutions
 
+
+
+def birthday_search_serial(pub, mask_bits: int, budget: int, seed: int) -> BirthdayStats:
+    """juna.attacks.birthday_search in one process: draw, digest and check
+    each message in turn, the loop the forked search must reproduce."""
+    check_birthday(pub, mask_bits, budget)
+    n = pub.n
+    mask = (1 << mask_bits) - 1
+    rng = random.Random(seed)
+    seen: dict[int, int] = {}
+    threshold = BIRTHDAY_COEFFICIENT * 2 ** (mask_bits / 2)
+
+    for trials in range(1, budget + 1):
+        v = 0
+        while v == 0:
+            v = rng.getrandbits(n)
+        msg = BitString.from_int(v, n)
+        t = digest(pub, msg).value & mask
+        prior = seen.setdefault(t, v)
+        if prior != v:
+            return BirthdayStats(
+                trials=trials,
+                collision=(BitString.from_int(prior, n), msg),
+                threshold=threshold,
+                seed=seed,
+                mask_bits=mask_bits,
+                collision_value=t,
+            )
+    return BirthdayStats(
+        trials=budget, collision=None, threshold=threshold, seed=seed, mask_bits=mask_bits
+    )

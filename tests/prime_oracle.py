@@ -69,13 +69,16 @@ def _mat_mul(x, y, n: int):
     return [[(x[i][0] * y[0][j] + x[i][1] * y[1][j]) % n for j in (0, 1)] for i in (0, 1)]
 
 
-def strong_lucas_plain(n: int) -> bool:
+def strong_lucas_plain(n: int, jacobi=_jacobi_by_factors) -> bool:
     """Strong Lucas test of odd n > 1, not a square, with Selfridge's D, P
     and Q.  The recurrence X_(j+1) = P X_j - Q X_(j-1) is stepped k times by
     the k-th power of its matrix [[P, -Q], [1, 0]], whose bottom row applied
-    to (U_1, U_0) = (1, 0) and (V_1, V_0) = (P, 2) gives U_k and V_k."""
+    to (U_1, U_0) = (1, 0) and (V_1, V_0) = (P, 2) gives U_k and V_k.
+
+    jacobi(D, n) picks D; the default factors n by trial division, so a
+    large n needs another."""
     D = 5
-    while (j := _jacobi_by_factors(D, n)) != -1:
+    while (j := jacobi(D, n)) != -1:
         if j == 0 and abs(D) != n:
             return False
         D = -D - 2 if D > 0 else 2 - D

@@ -1,4 +1,6 @@
+import os
 import random
+import threading
 from fractions import Fraction
 from itertools import product
 
@@ -6,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from juna import attacks
 from juna.attacks import (
     MAX_INSTANCE_DIGITS,
+    SEARCH_CHUNK,
     SubsetSumInstance,
     assp_density,
     birthday_search,
@@ -18,7 +22,7 @@ from juna.attacks import (
 from juna.compress import digest
 from juna.errors import DomainError, InstanceTooLargeError, JunaError, ParseError
 
-from attacks_oracle import brute_force_solve
+from attacks_oracle import birthday_search_serial, brute_force_solve
 
 
 def test_mitm_examples():
@@ -160,6 +164,181 @@ def test_birthday_full_width_at_toy_scale(toy_pub):
     m1, m2 = stats.collision
     assert m1 != m2
     assert digest(toy_pub, m1).value == digest(toy_pub, m2).value
+
+
+# The birthday search on forked workers, against the serial loop.
+
+
+def _counted(search, pub, *args):
+    """search(pub, *args) and the multiplications it charged pub's context."""
+    ctx = pub.context()
+    before = ctx.mulcount
+    return search(pub, *args), ctx.mulcount - before
+
+
+def _process_state():
+    """This process's open files and CPU set, where the system shows them."""
+    fds = sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+    return fds, _affinity()
+
+
+# read past any test's stand-in for os.sched_getaffinity
+_getaffinity = getattr(os, "sched_getaffinity", None)
+
+
+def _affinity():
+    return _getaffinity(0) if _getaffinity else None
+
+
+def _assert_left_clean(before):
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)  # every child was reaped
+    assert _process_state() == before  # no pipe left open, the CPU set back
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The os.fork calls this process makes during the test, after which
+    no child, pipe or CPU pinning may be left."""
+    calls = []
+    real, parent = os.fork, os.getpid()
+
+    def counting():
+        if os.getpid() == parent:
+            calls.append(parent)
+        return real()
+
+    before = _process_state()
+    monkeypatch.setattr(os, "fork", counting)
+    yield calls
+    _assert_left_clean(before)
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """Sets the number of processes of every search in the test."""
+
+    def set_count(k):
+        monkeypatch.setattr(attacks, "_part_count", lambda work, least: k)
+
+    return set_count
+
+
+def test_forked_search_is_the_serial_search_at_18_to_20_bits(reference_pub, workers, forks):
+    workers(2)
+    ends = set()
+    for mask_bits in (18, 19, 20):
+        for seed in range(8):
+            args = (mask_bits, 1 << 16, seed)
+            got = _counted(birthday_search, reference_pub, *args)
+            assert got == _counted(birthday_search_serial, reference_pub, *args), args
+            ends.add((got[0].trials - 1) // SEARCH_CHUNK % 2)
+    assert len(forks) == 24
+    assert ends == {0, 1}  # collisions in chunks of both processes
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("budget", [1, 2 * SEARCH_CHUNK + 10])
+def test_forked_search_spends_its_budget_as_the_serial_search(
+    reference_pub, workers, forks, k, budget
+):
+    # no collision at 30 bits; the last chunk, of 10 messages, is this
+    # process's at k = 2 and the second child's at k = 3
+    workers(k)
+    args = (30, budget, 7)
+    got = _counted(birthday_search, reference_pub, *args)
+    assert got[0].collision is None and got[0].trials == budget
+    assert got == _counted(birthday_search_serial, reference_pub, *args)
+    assert len(forks) == k - 1
+
+
+def test_search_forks_only_from_two_processes_worth_of_work(
+    mid_pub, reference_pub, forks, monkeypatch
+):
+    asked, real = [], attacks._part_count
+
+    def spy(work, least):
+        asked.append(work // least)
+        return real(work, least)
+
+    monkeypatch.setattr(attacks, "_part_count", spy)
+    for pub, mask_bits, budget in (
+        (mid_pub, 16, 5000),  # acceptance criterion 8's searches
+        (mid_pub, 20, 1 << 16),
+        (reference_pub, 17, 1 << 16),
+        (reference_pub, 30, 400),
+    ):
+        args = (mask_bits, budget, 3)
+        assert _counted(birthday_search, pub, *args) == _counted(birthday_search_serial, pub, *args)
+    assert forks == []
+    assert asked == [0, 0, 1, 1]
+    birthday_search(reference_pub, 18, 1 << 16, 3)
+    assert asked[-1] == 2
+
+
+@pytest.mark.parametrize("end", ["collision", "budget", "error"])
+def test_every_search_exit_reaps_its_children(reference_pub, workers, forks, monkeypatch, end):
+    workers(3)
+    before = _process_state()
+    parent, real, pinned = os.getpid(), attacks.digest, []
+
+    def watched(pub, msg, ctx=None):
+        if os.getpid() == parent:
+            pinned.append(_affinity())
+            if end == "error" and len(pinned) > 100:
+                raise RuntimeError("this process fails in its second chunk")
+        return real(pub, msg, ctx)
+
+    monkeypatch.setattr(attacks, "digest", watched)
+    if end == "error":
+        with pytest.raises(RuntimeError):
+            birthday_search(reference_pub, 30, 1 << 16, 3)
+    else:
+        mask_bits, budget = (20, 1 << 16) if end == "collision" else (30, 300)
+        stats = birthday_search(reference_pub, mask_bits, budget, 3)
+        assert (stats.collision is None) == (end == "budget")
+    assert len(forks) == 2
+    _assert_left_clean(before)
+    cpus = before[1]
+    if cpus is not None and len(cpus) > 1:
+        assert pinned and all(a == {min(cpus)} for a in pinned)
+
+
+@pytest.mark.parametrize("k, after", [(2, 0), (2, 70), (3, 70)])
+def test_a_child_that_exits_early_leaves_the_serial_result(
+    reference_pub, workers, forks, monkeypatch, k, after
+):
+    # each child leaves after `after` digests: at once, or in its second chunk
+    workers(k)
+    parent, real, done = os.getpid(), attacks.digest, []
+
+    def leaving(pub, msg, ctx=None):
+        if os.getpid() != parent:
+            if len(done) == after:
+                os._exit(0)
+            done.append(msg)
+        return real(pub, msg, ctx)
+
+    monkeypatch.setattr(attacks, "digest", leaving)
+    args = (20, 1 << 16, 11)
+    got = _counted(birthday_search, reference_pub, *args)
+    assert got[0].trials > SEARCH_CHUNK * 2 * k
+    assert got == _counted(birthday_search_serial, reference_pub, *args)
+    assert len(forks) == k - 1
+
+
+def test_a_search_from_a_second_thread_never_forks(reference_pub, forks, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    args = (20, 1 << 16, 5)
+    results = []
+    thread = threading.Thread(
+        target=lambda: results.append(_counted(birthday_search, reference_pub, *args))
+    )
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert forks == []
+    assert results == [_counted(birthday_search_serial, reference_pub, *args)]
 
 
 def test_brute_force_collision_identity(toy_pub):

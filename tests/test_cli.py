@@ -494,6 +494,26 @@ def test_forked_keygen_leaves_stdout_alone(keygen_4096, tmp_path):
     assert not {m for m in imported if m.split(".")[0] in ("multiprocessing", "concurrent")}
 
 
+# stdout of the forked birthday search, read from the one-process search
+BIRTHDAY_20_SHA256 = "20c8f5752645628f21aa1953d4da4fb1aee051b2ad1acefb4e91186aac29842e"
+
+
+def test_birthday_search_output_is_pinned():
+    # a real process, stdout on a pipe and warnings as errors: the search
+    # prints seed= before it forks, and no child may repeat it
+    bundled = Path(params.__file__).parent / "data" / "m80_n256.pub"
+    env = dict(os.environ, PYTHONPATH=str(Path(params.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "juna.cli", "attack", "birthday", "--pub", str(bundled),
+         "--mask-bits", "20", "--budget", "65536", "--seed", "1"],
+        capture_output=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert b"trials=1876\n" in proc.stdout and b"truncated_value=949207\n" in proc.stdout
+    assert hashlib.sha256(proc.stdout).hexdigest() == BIRTHDAY_20_SHA256
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

@@ -134,6 +134,26 @@ def test_base2_half_rejects_strong_lucas_pseudoprimes(odd_below_1e5):
         assert not _miller_rabin(n, (2,)), n
 
 
+def test_strong_lucas_is_the_recurrence_at_64_to_232_bits():
+    # the ladder halves U + V and D*U + V by parity; every odd n below 10**5
+    # is compared in test_base2_half_rejects_strong_lucas_pseudoprimes.
+    # Factoring these n is out of reach, so D comes from juna's Jacobi symbol.
+    rng = random.Random(64232)
+    odd, fermat = [], []
+    while len(fermat) < 40:
+        bits = rng.randrange(64, 233)
+        n = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+        if math.isqrt(n) ** 2 == n:
+            continue
+        if pow(2, n - 1, n) == 1:
+            fermat.append(n)
+        elif len(odd) < 200:
+            odd.append(n)
+    for n in odd + fermat:
+        assert _strong_lucas(n) == strong_lucas_plain(n, numtheory._jacobi), n
+    assert all(_strong_lucas(n) for n in fermat)
+
+
 def test_lucas_half_rejects_prime_squares():
     # 3511 is a Wieferich prime: its square passes the base-2 strong test
     assert _miller_rabin(3511**2, (2,))

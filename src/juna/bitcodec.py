@@ -109,15 +109,12 @@ class ShadowString:
         for i, v in enumerate(values):
             if v:
                 groups[v].append(i)
-        self._freeze(len(values), groups)
-
-    def _freeze(self, n: int, groups):
+        n = len(values)
         if not n or min(groups, default=0) < 0 or max(groups, default=0) > n:
             raise DomainError("shadow entries must lie in [0, n]")
         if not n <= sum(v * len(ps) for v, ps in groups.items()) <= 2 * n:
             raise DomainError(f"shadow entries must sum into [{n}, {2 * n}]")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "groups", dict(groups))
+        self.__dict__.update(n=n, groups=dict(groups))
 
     @property
     def values(self) -> tuple[int, ...]:
@@ -163,8 +160,8 @@ def _encode(bits: str, partners) -> ShadowString:
     for run, partner in zip(runs[1:-1], partners):
         i += len(run) + 1
         groups[(len(run) + 1) << partner].append(i)
-    out = object.__new__(ShadowString)
-    out._freeze(len(bits), groups)
+    out = object.__new__(ShadowString)  # valid by construction: no checks
+    out.__dict__.update(n=len(bits), groups=dict(groups))
     return out
 
 

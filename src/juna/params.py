@@ -15,7 +15,6 @@ import functools
 import math
 import operator
 import os
-import re
 import secrets
 import threading
 from dataclasses import dataclass
@@ -531,7 +530,7 @@ def validate(pub: PublicParams, priv: PrivateParams | None = None) -> Validation
         add("cofactor_structure", True, "(M-1)/2 is prime")
     else:
         add("cofactor_structure", *_cofactor_structure(q, 4 * n * (2 * nb + 3)))
-    add("initial_values_range", all(1 < c < M for c in pub.C))
+    add("initial_values_range", min(pub.C) > 1 and max(pub.C) < M)
     add("initial_values_distinct", len(set(pub.C)) == n)
 
     if priv is not None:
@@ -681,12 +680,6 @@ def serialize(obj: PublicParams | PrivateParams) -> str:
     return "\n".join(lines) + "\n"
 
 
-# key=<int> with 1 to MAX_INT_DIGITS ASCII digits, and a "-" allowed on L= only.
-# One pattern checks a whole block of value lines, joined back with LF.
-_FIELD = {key: rf"{key}={'-?' if key == 'L' else ''}[0-9]{{1,{MAX_INT_DIGITS}}}" for key in "CAL"}
-_BLOCK = {key: re.compile(rf"(?:{f}\n)*{f}") for key, f in _FIELD.items()}
-
-
 def _expect_int(lines: list[str], i: int, key: str, digits: int = MAX_INT_DIGITS) -> int:
     """The integer on line i (0-based) as key=<int> of at most `digits` digits,
     or the ParseError naming the line."""
@@ -706,16 +699,23 @@ def _expect_int(lines: list[str], i: int, key: str, digits: int = MAX_INT_DIGITS
     return int(v)
 
 
-def _block(lines: list[str], start: int, count: int, key: str) -> tuple[int, ...]:
-    """The integers of `count` key=<int> lines from line `start` (0-based).
-
-    One pattern match checks the block; only when it fails are the lines
-    walked one by one, so that the error names the first bad line.
-    """
-    block = lines[start : start + count]
-    if len(block) == count and _BLOCK[key].fullmatch("\n".join(block)):
-        return tuple([int(line[len(key) + 1 :]) for line in block])
-    return tuple(_expect_int(lines, i, key) for i in range(start, start + count))
+def _block(block: str, key: str, count: int) -> tuple[int, ...] | None:
+    """The integers of `count` lines key=<int>, each ending in LF but perhaps
+    the last, or None.  Split once on LF key=, the block is valid exactly when
+    it starts with key= and gives `count` pieces, none empty or over
+    MAX_INT_DIGITS, that join into ASCII digits (bytes.isdigit; int() takes
+    other digits).  L= pieces are checked on a copy without their signs."""
+    if not block.startswith(key + "="):
+        return None
+    sep = "\n" + key + "="
+    pieces = block.split(sep)
+    bare = ("\n" + block).replace("\nL=-", sep).split(sep)[1:] if key == "L" else pieces
+    pieces[0] = pieces[0][2:]
+    bare[-1] = bare[-1].removesuffix("\n")  # int() takes the LF a signed piece keeps
+    if (len(bare) == count and "" not in bare and max(map(len, bare)) <= MAX_INT_DIGITS
+            and (digits := "".join(bare)).isascii() and digits.encode().isdigit()):
+        return tuple(map(int, pieces))
+    return None
 
 
 def _end(lines: list[str], i: int):
@@ -723,34 +723,37 @@ def _end(lines: list[str], i: int):
         raise ParseError(f"trailing content {lines[i]!r}", line=i + 1)
 
 
+# The field lines after each header line, then the keys of its blocks of n lines
+_LAYOUT = {PUB_HEADER: ("m n M".split(), "C"), PRIV_HEADER: ("m n M P nbar W delta".split(), "AL")}
+
+
 def parse(text: str) -> PublicParams | PrivateParams:
-    """Parse a parameter file; the header line picks the flavour."""
-    lines = text.split("\n")
+    """Parse a parameter file; the header line picks the flavour.  Only the
+    field lines are split off; _block reads each block of value lines whole.
+    If one fails, the file is read line by line, to name the first bad line."""
+    header = text[: text.find("\n")] if "\n" in text else text
+    if header not in _LAYOUT:
+        raise ParseError(f"unknown header {header!r}" if text else "unexpected end of file", line=1)
+    fields, keys = _LAYOUT[header]
+    head = len(fields) + 1
+    lines = text.split("\n", head)
     if lines[-1] == "":
         lines.pop()
-    if not lines:
-        raise ParseError("unexpected end of file", line=1)
-    header = lines[0]
-    if header == PUB_HEADER:
-        m, n, M = (_expect_int(lines, i, key) for i, key in enumerate("mnM", 1))
-        C = _block(lines, 4, n, "C")
-        _end(lines, 4 + n)
-        try:
-            return PublicParams(m=m, n=n, M=M, C=C)
-        except DomainError as exc:
-            raise ParseError(str(exc)) from exc
-    if header == PRIV_HEADER:
-        keys = ("m", "n", "M", "P", "nbar", "W", "delta")
-        m, n, M, P, nbar, W, delta = (_expect_int(lines, i, k) for i, k in enumerate(keys, 1))
-        A = _block(lines, 8, n, "A")
-        L = _block(lines, 8 + n, n, "L")
-        _end(lines, 8 + 2 * n)
-        try:
-            A = coprime.CoprimeSequence(A)
-            return PrivateParams(m=m, n=n, M=M, P=P, nbar=nbar, W=W, delta=delta, A=A, ell=L)
-        except DomainError as exc:
-            raise ParseError(str(exc)) from exc
-    raise ParseError(f"unknown header {header!r}", line=1)
+    values = [_expect_int(lines, i, key) for i, key in enumerate(fields, 1)]
+    n = values[1]
+    rest = lines[head] if len(lines) > head else ""
+    cut = rest.find("\nL=") + 1 if keys == "AL" else len(rest)
+    blocks = [_block(rest[:cut], keys[0], n)] + [_block(rest[cut:], "L", n) for _ in keys[1:]]
+    if None in blocks:
+        lines[head:] = rest.removesuffix("\n").split("\n") if rest else []
+        spans = [range(head + j * n, head + (j + 1) * n) for j in range(len(keys))]
+        blocks = [tuple(_expect_int(lines, i, k) for i in r) for k, r in zip(keys, spans)]
+        _end(lines, head + len(keys) * n)
+    try:
+        return (PublicParams(*values, *blocks) if keys == "C"
+                else PrivateParams(*values, coprime.CoprimeSequence(blocks[0]), blocks[1]))
+    except DomainError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def read_ascii(path, limit: int) -> str:

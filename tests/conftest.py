@@ -1,9 +1,12 @@
+import contextlib
+import io
 import random
 import sys
 
 import pytest
 
-from juna import numtheory
+from juna import numtheory, params
+from juna.cli import main
 from juna.params import PublicParams, bundled_public_params, initialize
 
 
@@ -57,3 +60,28 @@ def tested(monkeypatch):
         if name.startswith("juna") and getattr(module, "is_probable_prime", None) is real:
             monkeypatch.setattr(module, "is_probable_prime", counting)
     return calls
+
+
+KEYGEN_4096 = ["keygen", "--seed", "4096", "--m", "232", "--n", "4096", "--p-bits", "32",
+               "--nbar", "4096"]
+
+
+@pytest.fixture(scope="session")
+def keygen_4096(tmp_path_factory):
+    """The in-process keygen at seed 4096, 232/4096: its stdout, the two
+    files, and the multiplications counted on find_safe_prime's context."""
+    base = tmp_path_factory.mktemp("k4096")
+    pub, priv = base / "k.pub", base / "k.priv"
+    contexts = []
+    real = params.find_safe_prime
+
+    def recording(*args, **kwargs):
+        contexts.append(real(*args, **kwargs))
+        return contexts[-1]
+
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
+        mp.setattr(params, "find_safe_prime", recording)
+        rc = main(KEYGEN_4096 + ["--out-pub", str(pub), "--out-priv", str(priv)])
+    assert rc == 0
+    return out.getvalue(), pub, priv, contexts[0].mulcount

@@ -2,7 +2,7 @@
 
 It reads one line at a time and checks each key and integer as it goes,
 the way juna.params.parse did before it checked whole blocks of value
-lines with one pattern.  Tests require the two to accept the same files,
+lines at once.  Tests require the two to accept the same files,
 return equal objects and raise the same ParseError, message and line.
 """
 

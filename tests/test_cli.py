@@ -19,6 +19,8 @@ from juna.cli import main
 from juna.compress import digest
 from juna.params import bundled_public_params, initialize, load, save
 
+from conftest import KEYGEN_4096
+
 REFERENCE_MSG_HEX = "f3f49249dc28ff90a5aec7978306d03bf38b2ffc80a4df5a51c9bc701e7ea419"
 REFERENCE_DIGEST = "0ea2759806423903744c"
 
@@ -409,31 +411,8 @@ def test_production_keygen_validate_bench_flow(tmp_path, capsys):
     assert vals["bound_respected"] == "true"
 
 
-KEYGEN_4096 = ["keygen", "--seed", "4096", "--m", "232", "--n", "4096", "--p-bits", "32",
-               "--nbar", "4096"]
 PUB_4096_SHA256 = "dc485de865ed5369e8f2e7183c14fa307f5b60f451d0511ae6336ba3a7c3e13f"
 PRIV_4096_SHA256 = "d9be3cffae1495a5fbdf68b4f3726db15c846463b0590cb03e1425b50be0aeef"
-
-
-@pytest.fixture(scope="module")
-def keygen_4096(tmp_path_factory):
-    """The in-process keygen at seed 4096, 232/4096: its stdout, the two
-    files, and the multiplications counted on find_safe_prime's context."""
-    base = tmp_path_factory.mktemp("k4096")
-    pub, priv = base / "k.pub", base / "k.priv"
-    contexts = []
-    real = params.find_safe_prime
-
-    def recording(*args, **kwargs):
-        contexts.append(real(*args, **kwargs))
-        return contexts[-1]
-
-    out = io.StringIO()
-    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
-        mp.setattr(params, "find_safe_prime", recording)
-        rc = main(KEYGEN_4096 + ["--out-pub", str(pub), "--out-priv", str(priv)])
-    assert rc == 0
-    return out.getvalue(), pub, priv, contexts[0].mulcount
 
 
 def test_keygen_232_4096_is_byte_identical(keygen_4096, capsys):
@@ -454,6 +433,18 @@ def test_keygen_232_4096_is_byte_identical(keygen_4096, capsys):
         "PASS initial_values_distinct",
     ]
 
+
+
+# stdout of the full audit of the seed-4096 pair, which parses all three
+# blocks of values at n = 4096
+AUDIT_4096_SHA256 = "01a50d724ed0eb047c1cade5523fee0f05bab9ed1c623e07db327a961d105d42"
+
+
+def test_full_audit_of_4096_pair_is_pinned(keygen_4096, capsys):
+    _, pub, priv, _ = keygen_4096
+    assert main(["validate", "--pub", str(pub), "--priv", str(priv)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == AUDIT_4096_SHA256
 
 
 def test_hash_digests_are_pinned(keygen_4096, capsys):

@@ -500,6 +500,41 @@ def test_parse_error_names_the_bad_value_line(reference_pub, lineno, bad, messag
     assert _parse_outcome(parse_line_by_line, text) == ("ParseError", str(err.value), lineno)
 
 
+@pytest.fixture(scope="module")
+def files_4096(keygen_4096):
+    """The text of the seed-4096 public and private files, 232/4096."""
+    _, pub, priv, _ = keygen_4096
+    return pub.read_text(encoding="ascii"), priv.read_text(encoding="ascii")
+
+
+def test_full_size_files_parse_as_line_by_line(files_4096):
+    for text in files_4096:
+        obj = parse(text)
+        assert obj == parse_line_by_line(text)
+        assert serialize(obj) == text
+
+
+# Values int() takes, or that look like one value, but that no value line
+# may hold; {k} is the line's key.
+_NOT_A_VALUE = ["+5", " 5", "5 ", "5_000", "5\r", "\u0663", "--5", "-", "", "0" * 66 + "12345",
+                "5{k}=6"]
+
+
+@pytest.mark.parametrize("key", ["C", "A", "L"])
+@pytest.mark.parametrize("bad", _NOT_A_VALUE)
+def test_full_size_bad_value_matches_line_by_line(files_4096, key, bad):
+    # first, middle and last line of each block, so that the whole-block
+    # check is the one rejecting it
+    lines = files_4096[key != "C"].split("\n")
+    first = {"C": 4, "A": 8, "L": 8 + 4096}[key]
+    for i in (first, first + 2048, first + 4095):
+        assert lines[i].startswith(key + "=")
+        text = "\n".join(lines[:i] + [f"{key}={bad.format(k=key)}"] + lines[i + 1 :])
+        outcome = _parse_outcome(parse, text)
+        assert outcome[0] == "ParseError" and outcome[2] == i + 1
+        assert outcome == _parse_outcome(parse_line_by_line, text)
+
+
 def test_parse_takes_signed_values_on_l_lines_only():
     pub_text, priv_text = _wide_files()
     last_l = priv_text.rstrip("\n").rsplit("\n", 1)[0] + "\n"

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .bitcodec import BitString, bit_long_shadow
+from .bitcodec import BitString, _drawn, bit_long_shadow
 from .compress import digest
 from .errors import DomainError, InstanceTooLargeError, ParseError
 from .numtheory import ceil_lg
@@ -177,7 +177,7 @@ def _digest_chunks(pub: PublicParams, rng, mask: int, width: int, budget: int, w
             records = []
             for v in chunk:
                 before = ctx.mulcount
-                t = digest(pub, BitString.from_int(v, pub.n), ctx).value & mask
+                t = digest(pub, _drawn(v, pub.n), ctx).value & mask
                 records.append(((ctx.mulcount - before) << shift | t).to_bytes(width, "big"))
             yield b"".join(records)
 
@@ -223,7 +223,7 @@ def birthday_search(
             data = children.read(w - 1, len(chunk) * width) if w else None
             for i, v in enumerate(chunk):
                 if data is None:
-                    t = digest(pub, BitString.from_int(v, n), ctx).value & mask
+                    t = digest(pub, _drawn(v, n), ctx).value & mask
                 else:
                     record = int.from_bytes(data[i * width : (i + 1) * width], "big")
                     ctx._tick(record >> mask_bits)

@@ -165,6 +165,13 @@ def _encode(bits: str, partners) -> ShadowString:
     return out
 
 
+def _drawn(value: int, n: int) -> BitString:
+    """BitString(value, n) unchecked, for a nonzero n-bit draw at a PublicParams n."""
+    out = object.__new__(BitString)
+    out.__dict__.update(value=value, n=n)
+    return out
+
+
 def bit_shadow(msg: BitString) -> ShadowString:
     """Shadow encoding by the three positional rules.
 

@@ -140,7 +140,7 @@ def cmd_chp_setup(args) -> int:
 
 
 def cmd_chp_hash(args) -> int:
-    cp = chp.parse_chp(params.read_ascii(args.params, chp.MAX_FILE_BYTES))
+    cp = chp.parse_chp(params.read_ascii(args.params, chp.MAX_FILE_BYTES).decode("ascii"))
     if not chp.validate_chp(cp):
         raise DomainError("p is not a safe prime, or alpha or beta does not generate its group")
     value = chp.chp_hash(cp, args.w1, args.w2)
@@ -176,7 +176,8 @@ def cmd_reform(args) -> int:
 
 
 def cmd_attack_mitm(args) -> int:
-    inst = attacks.parse_instance(params.read_ascii(args.instance, attacks.MAX_INSTANCE_BYTES))
+    inst = attacks.parse_instance(
+        params.read_ascii(args.instance, attacks.MAX_INSTANCE_BYTES).decode("ascii"))
     bits = attacks.mitm_subset_sum(inst)
     if bits is None:
         _echo("solution", "none")

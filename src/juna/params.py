@@ -656,27 +656,18 @@ PRIV_HEADER = "JUNA-PRIV 1"
 # The private file is the longer: its header, seven fields and 2n values,
 # each line at most a five-letter key, "=", a sign, the digits and LF.
 MAX_FILE_BYTES = (1 + 7 + 2 * MAX_N) * (MAX_INT_DIGITS + 8)
+# The field lines after each header line, then the keys of its blocks of n lines
+_LAYOUT = {PUB_HEADER: ("m n M".split(), "C"), PRIV_HEADER: ("m n M P nbar W delta".split(), "AL")}
 
 
 def serialize(obj: PublicParams | PrivateParams) -> str:
-    if isinstance(obj, PublicParams):
-        lines = [PUB_HEADER, f"m={obj.m}", f"n={obj.n}", f"M={obj.M}"]
-        lines += [f"C={c}" for c in obj.C]
-    elif isinstance(obj, PrivateParams):
-        lines = [
-            PRIV_HEADER,
-            f"m={obj.m}",
-            f"n={obj.n}",
-            f"M={obj.M}",
-            f"P={obj.P}",
-            f"nbar={obj.nbar}",
-            f"W={obj.W}",
-            f"delta={obj.delta}",
-        ]
-        lines += [f"A={a}" for a in obj.A]
-        lines += [f"L={l}" for l in obj.ell]
-    else:
+    if not isinstance(obj, (PublicParams, PrivateParams)):
         raise TypeError(f"cannot serialize {type(obj).__name__}")
+    header = PUB_HEADER if isinstance(obj, PublicParams) else PRIV_HEADER
+    fields, keys = _LAYOUT[header]
+    lines = [header] + [f"{k}={getattr(obj, k)}" for k in fields]
+    blocks = (obj.C,) if keys == "C" else (obj.A, obj.ell)
+    lines += [f"{k}={v}" for k, block in zip(keys, blocks) for v in block]
     return "\n".join(lines) + "\n"
 
 
@@ -699,56 +690,66 @@ def _expect_int(lines: list[str], i: int, key: str, digits: int = MAX_INT_DIGITS
     return int(v)
 
 
-def _block(block: str, key: str, count: int) -> tuple[int, ...] | None:
-    """The integers of `count` lines key=<int>, each ending in LF but perhaps
-    the last, or None.  Split once on LF key=, the block is valid exactly when
-    it starts with key= and gives `count` pieces, none empty or over
-    MAX_INT_DIGITS, that join into ASCII digits (bytes.isdigit; int() takes
-    other digits).  L= pieces are checked on a copy without their signs."""
-    if not block.startswith(key + "="):
-        return None
-    sep = "\n" + key + "="
-    pieces = block.split(sep)
-    bare = ("\n" + block).replace("\nL=-", sep).split(sep)[1:] if key == "L" else pieces
-    pieces[0] = pieces[0][2:]
-    bare[-1] = bare[-1].removesuffix("\n")  # int() takes the LF a signed piece keeps
-    if (len(bare) == count and "" not in bare and max(map(len, bare)) <= MAX_INT_DIGITS
-            and (digits := "".join(bare)).isascii() and digits.encode().isdigit()):
-        return tuple(map(int, pieces))
-    return None
-
-
 def _end(lines: list[str], i: int):
     if i < len(lines):
         raise ParseError(f"trailing content {lines[i]!r}", line=i + 1)
 
 
-# The field lines after each header line, then the keys of its blocks of n lines
-_LAYOUT = {PUB_HEADER: ("m n M".split(), "C"), PRIV_HEADER: ("m n M P nbar W delta".split(), "AL")}
+def _split(data: bytes):
+    """(keys, field values, value blocks) of a well-formed file, or None.
+    The pieces of one split of the buffer on LF key= per block key are its
+    only copies; each block must be n pieces of 1 to MAX_INT_DIGITS ASCII
+    digits (bytes.isdigit: int() also takes +, _ and spaces), an L piece
+    after one optional sign.  A bad field line raises the walk's ParseError."""
+    end = data.find(b"\n")
+    layout = _LAYOUT.get(data[:end].decode()) if end >= 0 else None
+    if layout is None:
+        return None
+    fields, keys = layout
+    head, *block = data.split(f"\n{keys[0]}=".encode())
+    if not block or head.count(b"\n") != len(fields):
+        return None
+    lines = head.decode().split("\n")
+    values = [_expect_int(lines, i, key) for i, key in enumerate(fields, 1)]
+    blocks = [block]
+    if keys == "AL":
+        block[-1], *more = block[-1].split(b"\nL=")
+        blocks.append(more or [b""])  # a file without L lines fails below
+    blocks[-1][-1] = blocks[-1][-1].removesuffix(b"\n")
+    for key, pieces in zip(keys, blocks):
+        bare = [p.removeprefix(b"-") for p in pieces] if key == "L" else pieces
+        if (len(bare) != values[1] or max(map(len, bare)) > MAX_INT_DIGITS
+                or not all(map(bytes.isdigit, bare))):
+            return None
+    return keys, values, [tuple(map(int, pieces)) for pieces in blocks]
 
 
-def parse(text: str) -> PublicParams | PrivateParams:
-    """Parse a parameter file; the header line picks the flavour.  Only the
-    field lines are split off; _block reads each block of value lines whole.
-    If one fails, the file is read line by line, to name the first bad line."""
-    header = text[: text.find("\n")] if "\n" in text else text
+def _walk(text: str):
+    """(keys, field values, value blocks) line by line, or the ParseError of the first bad one."""
+    header = text.partition("\n")[0]
     if header not in _LAYOUT:
         raise ParseError(f"unknown header {header!r}" if text else "unexpected end of file", line=1)
     fields, keys = _LAYOUT[header]
-    head = len(fields) + 1
-    lines = text.split("\n", head)
+    lines = text.split("\n")
     if lines[-1] == "":
         lines.pop()
     values = [_expect_int(lines, i, key) for i, key in enumerate(fields, 1)]
-    n = values[1]
-    rest = lines[head] if len(lines) > head else ""
-    cut = rest.find("\nL=") + 1 if keys == "AL" else len(rest)
-    blocks = [_block(rest[:cut], keys[0], n)] + [_block(rest[cut:], "L", n) for _ in keys[1:]]
-    if None in blocks:
-        lines[head:] = rest.removesuffix("\n").split("\n") if rest else []
-        spans = [range(head + j * n, head + (j + 1) * n) for j in range(len(keys))]
-        blocks = [tuple(_expect_int(lines, i, k) for i in r) for k, r in zip(keys, spans)]
-        _end(lines, head + len(keys) * n)
+    n, head = values[1], len(fields) + 1
+    spans = [range(head + j * n, head + (j + 1) * n) for j in range(len(keys))]
+    blocks = [tuple(_expect_int(lines, i, k) for i in r) for k, r in zip(keys, spans)]
+    _end(lines, head + len(keys) * n)
+    return keys, values, blocks
+
+
+def parse(data: bytes | str) -> PublicParams | PrivateParams:
+    """Parse a parameter file, as ASCII bytes or text; the header line picks
+    the flavour.  ASCII text is encoded once, and _split reads the bytes.  A
+    file it does not accept, or text with a non-ASCII character, is read line
+    by line, to name the first bad line."""
+    if isinstance(data, str) and data.isascii():
+        data = data.encode()
+    raw = isinstance(data, bytes)
+    keys, values, blocks = raw and _split(data) or _walk(data.decode() if raw else data)
     try:
         return (PublicParams(*values, *blocks) if keys == "C"
                 else PrivateParams(*values, coprime.CoprimeSequence(blocks[0]), blocks[1]))
@@ -756,20 +757,22 @@ def parse(text: str) -> PublicParams | PrivateParams:
         raise ParseError(str(exc)) from exc
 
 
-def read_ascii(path, limit: int) -> str:
-    """A text file of at most `limit` bytes, reading no more than one past it;
-    ParseError for a longer file or a non-ASCII byte."""
+def read_ascii(path, limit: int) -> bytes:
+    """The bytes of a file of at most `limit` bytes, reading no more than one
+    past it; ParseError for a longer file or a non-ASCII byte, whose offset
+    is looked for only then."""
     with open(path, "rb") as fh:
         data = fh.read(limit + 1)
     if len(data) > limit:
         raise ParseError(f"file is over {limit} bytes")
-    try:
-        return data.decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"non-ASCII byte at offset {exc.start}") from exc
+    if not data.isascii():
+        bad = next(i for i, b in enumerate(data) if b > 127)
+        raise ParseError(f"non-ASCII byte at offset {bad}")
+    return data
 
 
 def load(path) -> PublicParams | PrivateParams:
+    """The parameters in the file at path, parsed from the bytes as read."""
     return parse(read_ascii(path, MAX_FILE_BYTES))
 
 
@@ -782,5 +785,4 @@ def bundled_public_params() -> PublicParams:
     """The published 80-bit / 256-value reference parameter set."""
     from importlib.resources import files
 
-    text = files("juna.data").joinpath("m80_n256.pub").read_text(encoding="ascii")
-    return parse(text)
+    return parse(files("juna.data").joinpath("m80_n256.pub").read_bytes())

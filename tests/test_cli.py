@@ -447,6 +447,18 @@ def test_full_audit_of_4096_pair_is_pinned(keygen_4096, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == AUDIT_4096_SHA256
 
 
+# stdout of validate --pub alone on the seed-4096 key, the public check that
+# each cli-4096 benchmark cycle times
+VALIDATE_PUB_4096_SHA256 = "3d7cb1da9604c9c62a54f81351958bd06131797094c4edeb5159f52e92400d9b"
+
+
+def test_public_check_of_4096_key_is_pinned(keygen_4096, capsys):
+    _, pub, _, _ = keygen_4096
+    assert main(["validate", "--pub", str(pub)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == VALIDATE_PUB_4096_SHA256
+
+
 def test_hash_digests_are_pinned(keygen_4096, capsys):
     # values read from the dense codec and the per-pair multi_pow, so any
     # later rewrite of the digest path must reproduce them byte for byte

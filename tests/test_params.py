@@ -3,6 +3,7 @@ import dataclasses
 import os
 import random
 import threading
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -533,6 +534,39 @@ def test_full_size_bad_value_matches_line_by_line(files_4096, key, bad):
         outcome = _parse_outcome(parse, text)
         assert outcome[0] == "ParseError" and outcome[2] == i + 1
         assert outcome == _parse_outcome(parse_line_by_line, text)
+
+
+@pytest.mark.parametrize("key", ["C", "A", "L"])
+@pytest.mark.parametrize("bad", _NOT_A_VALUE)
+def test_full_size_bad_value_file_matches_line_by_line(keygen_4096, tmp_path, key, bad):
+    # the same cases read from a file by load, so the bytes as read are parsed
+    _, pub, priv, _ = keygen_4096
+    lines = (pub if key == "C" else priv).read_text(encoding="ascii").split("\n")
+    first = {"C": 4, "A": 8, "L": 8 + 4096}[key]
+    path = tmp_path / "bad"
+    for i in (first, first + 2048, first + 4095):
+        text = "\n".join(lines[:i] + [f"{key}={bad.format(k=key)}"] + lines[i + 1 :])
+        path.write_bytes(text.encode())
+        outcome = _parse_outcome(lambda _: load(path), None)
+        if bad.isascii():
+            assert outcome[0] == "ParseError" and outcome[2] == i + 1
+            assert outcome == _parse_outcome(parse_line_by_line, text)
+        else:  # refused as read, before any parse
+            assert outcome == ("ParseError", f"non-ASCII byte at offset {text.index(bad)}", None)
+
+
+def test_load_of_full_size_public_file_peaks_below_four_file_sizes(keygen_4096):
+    # the read buffer, the value pieces and the ints; a decoded or joined
+    # copy of the file on top of those would cross the bound
+    _, pub, _, _ = keygen_4096
+    load(pub)
+    tracemalloc.start()
+    try:
+        load(pub)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * pub.stat().st_size
 
 
 def test_parse_takes_signed_values_on_l_lines_only():

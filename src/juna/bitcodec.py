@@ -75,7 +75,8 @@ class BitString:
 
     @classmethod
     def from_string(cls, text: str) -> "BitString":
-        if not text or text.strip("01"):
+        """Nonempty text of ASCII 0s and 1s, checked by one pass deleting both."""
+        if not (text and text.isascii()) or text.encode().translate(None, b"01"):
             raise ParseError(f"not a bit string: {text!r}")
         return cls(int(text, 2), len(text))
 
@@ -157,9 +158,9 @@ def _encode(bits: str, partners) -> ShadowString:
     groups = defaultdict(list)
     i = len(runs[0])
     groups[(i + 1 + len(runs[-1])) << next(partners)].append(i)
-    for run, partner in zip(runs[1:-1], partners):
-        i += len(run) + 1
-        groups[(len(run) + 1) << partner].append(i)
+    for size, partner in zip(map(len, runs[1:-1]), partners):
+        i += size + 1
+        groups[(size + 1) << partner].append(i)
     out = object.__new__(ShadowString)  # valid by construction: no checks
     out.__dict__.update(n=len(bits), groups=dict(groups))
     return out

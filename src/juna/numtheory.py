@@ -114,10 +114,11 @@ def _strong_lucas(n: int) -> bool:
     U, V, Qk = 1, 1, Q % n  # U_1, V_1 and Q**1
     for bit in bin((n + 1) >> s)[3:]:
         U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n  # k -> 2k
-        if bit == "1":  # 2k -> 2k + 1: halve U + V and D*U + V mod odd n
+        if bit == "1":  # 2k -> 2k + 1: halve U + V and D*U + V, unreduced, mod odd n
             U, V, Qk = U + V, D * U + V, Qk * Q % n
-            U = ((U + n if U & 1 else U) >> 1) % n
-            V = ((V + n if V & 1 else V) >> 1) % n
+            U = (U + n if U & 1 else U) >> 1
+            V = (V + n if V & 1 else V) >> 1
+    U, V = U % n, V % n
     if U == 0:
         return True
     for _ in range(s):

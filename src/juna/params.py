@@ -758,11 +758,14 @@ def parse(data: bytes | str) -> PublicParams | PrivateParams:
 
 
 def read_ascii(path, limit: int) -> bytes:
-    """The bytes of a file of at most `limit` bytes, reading no more than one
-    past it; ParseError for a longer file or a non-ASCII byte, whose offset
-    is looked for only then."""
+    """The bytes of a file of at most `limit` bytes, read at its size and on only if
+    that fills (a pipe, a grown file), never past `limit` + 1; ParseError for a
+    longer file or a non-ASCII byte, whose offset is looked for only then."""
     with open(path, "rb") as fh:
-        data = fh.read(limit + 1)
+        first = min(os.stat(path).st_size, limit) + 1
+        data = fh.read(first)
+        if len(data) == first <= limit:
+            data += fh.read(limit + 1 - first)
     if len(data) > limit:
         raise ParseError(f"file is over {limit} bytes")
     if not data.isascii():

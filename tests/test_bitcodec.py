@@ -233,6 +233,37 @@ def test_fuzz_from_string(text):
     assert str(msg) == text
 
 
+# text near what int(text, 2) takes: non-ASCII digits, whitespace, _, + and a 0b prefix
+_NEAR_BIT_TEXT = st.one_of(
+    st.lists(st.sampled_from(["0", "1", "\u0661", "\uff10", "\uff11", " ", "\t", "\n",
+                              "_", "+", "-", "0b", "\x00", "\xff"]), max_size=40).map("".join),
+    st.builds(lambda pre, bits, post: pre + bits + post,
+              st.sampled_from(["", "0b", "+", " ", "_", "\u0661"]),
+              st.text(alphabet="01", max_size=MAX_BITS + 2),
+              st.sampled_from(["", "_", " ", "\n", "\uff10", "2"])),
+)
+
+
+def _outcome(parse, text):
+    try:
+        msg = parse(text)
+    except JunaError as exc:
+        return type(exc), str(exc)
+    return msg.value, msg.n
+
+
+def _strip_rule(text):
+    if not text or text.strip("01"):
+        raise ParseError(f"not a bit string: {text!r}")
+    return BitString(int(text, 2), len(text))
+
+
+@_FUZZ
+@given(_NEAR_BIT_TEXT)
+def test_from_string_accepts_what_the_strip_rule_accepts(text):
+    assert _outcome(BitString.from_string, text) == _outcome(_strip_rule, text)
+
+
 @_FUZZ
 @given(_HEX_TEXT, st.integers(-8, 200))
 def test_fuzz_from_hex(text, n):

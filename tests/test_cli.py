@@ -474,6 +474,17 @@ def test_hash_digests_are_pinned(keygen_4096, capsys):
         assert (vals["digest"], vals["mulcount"]) == (expected, mulcount)
 
 
+def test_hash_of_a_message_file_is_pinned_at_232_4096(keygen_4096, tmp_path, capsys):
+    # the --msg-file path: bytes to bit text, then BitString.from_string
+    _, pub, _, _ = keygen_4096
+    msg = tmp_path / "m.bin"
+    msg.write_bytes(bytes(range(256)) * 2)
+    assert main(["hash", "--pub", str(pub), "--msg-file", str(msg), "--bits", "4096"]) == 0
+    vals = grab(capsys)
+    assert vals["digest"] == "40c66ede5e6fb6ec8304e456df849085284374e95de455b2855474e02e"
+    assert vals["mulcount"] == "2067"
+
+
 def test_forked_keygen_leaves_stdout_alone(keygen_4096, tmp_path):
     # stdout on a pipe is block-buffered, and keygen prints seed= before it
     # forks: a child that flushed the buffer on its way out would repeat it

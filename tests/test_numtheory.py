@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from juna import numtheory
+from juna import numtheory, params
 from juna.chp import _generates
 from juna.errors import (
     CompositeSafeFormError,
@@ -134,21 +134,23 @@ def test_base2_half_rejects_strong_lucas_pseudoprimes(odd_below_1e5):
         assert not _miller_rabin(n, (2,)), n
 
 
-def test_strong_lucas_is_the_recurrence_at_64_to_232_bits():
-    # the ladder halves U + V and D*U + V by parity; every odd n below 10**5
-    # is compared in test_base2_half_rejects_strong_lucas_pseudoprimes.
+def test_strong_lucas_is_the_recurrence_at_64_to_232_bits(keygen_4096):
+    # the ladder halves U + V and D*U + V by parity and leaves them unreduced
+    # for the next doubling; below 10**5 (every odd n is compared in
+    # test_base2_half_rejects_strong_lucas_pseudoprimes) they stay small.
     # Factoring these n is out of reach, so D comes from juna's Jacobi symbol.
     rng = random.Random(64232)
-    odd, fermat = [], []
-    while len(fermat) < 40:
+    odd, fermat = [], [(params.load(keygen_4096[1]).M - 1) // 2]  # seed-4096 cofactor
+    while len(fermat) < 41:
         bits = rng.randrange(64, 233)
         n = rng.getrandbits(bits) | 1 << (bits - 1) | 1
         if math.isqrt(n) ** 2 == n:
             continue
         if pow(2, n - 1, n) == 1:
             fermat.append(n)
-        elif len(odd) < 200:
+        elif len(odd) < 1000:
             odd.append(n)
+    assert len(odd) == 1000
     for n in odd + fermat:
         assert _strong_lucas(n) == strong_lucas_plain(n, numtheory._jacobi), n
     assert all(_strong_lucas(n) for n in fermat)

@@ -4,6 +4,7 @@ import os
 import random
 import threading
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -391,6 +392,49 @@ def test_load_reads_one_byte_past_the_cap_at_most(tmp_path, monkeypatch):
     with pytest.raises(ParseError, match="over"):
         load(path)
     assert got == [MAX_FILE_BYTES + 1]
+
+
+def test_load_asks_for_the_file_size_plus_one_byte(keygen_4096, monkeypatch):
+    _, pub, _, _ = keygen_4096
+    asked = []
+
+    class Counting:
+        def __init__(self, *args):
+            self.fh = builtins.open(*args)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def read(self, size=-1):
+            asked.append(size)
+            return self.fh.read(size)
+
+    monkeypatch.setattr(params, "open", Counting, raising=False)
+    loaded = load(pub)
+    monkeypatch.undo()
+    assert loaded == load(pub)
+    assert 0 < sum(asked) <= os.path.getsize(pub) + 1
+
+
+def test_load_of_a_fifo_reads_on_past_its_zero_size(tmp_path):
+    # a pipe's size reads 0, so only the second read brings its bytes
+    data = (Path(params.__file__).parent / "data" / "m80_n256.pub").read_bytes()
+    fifo = tmp_path / "p.pub"
+    os.mkfifo(fifo)
+
+    def write():
+        with open(fifo, "wb") as fh:
+            fh.write(data)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        assert load(fifo) == parse(data)
+    finally:
+        writer.join(10)
 
 
 def test_file_cap_holds_the_widest_private_file():

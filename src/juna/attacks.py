@@ -1,5 +1,5 @@
-"""Executable cryptanalysis: subset-sum splitting, birthday search,
-exhaustive toy collisions, and knapsack density.
+"""Executable cryptanalysis: subset-sum splitting, birthday search and
+exhaustive toy collisions.
 
 The meet-in-the-middle solver attacks plain subset-sum instances; the
 long-shadow coupling of the compressor has no workable split point, so
@@ -14,14 +14,13 @@ from __future__ import annotations
 import functools
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from .bitcodec import BitString, _drawn, bit_long_shadow
 from .compress import digest
 from .errors import DomainError, InstanceTooLargeError, ParseError
-from .numtheory import ceil_lg
-from .params import PublicParams, _Forked, _part_count
+from ._procs import Forked, part_count
+from .params import PublicParams
 
 MITM_CAP = 40
 COLLISION_CAP = 12
@@ -165,11 +164,9 @@ def _draws(rng, n: int, budget: int):
         yield chunk
 
 
-def _digest_chunks(pub: PublicParams, rng, mask: int, width: int, budget: int, worker: int,
-                   workers: int):
+def _digest_chunks(pub: PublicParams, rng, mask: int, budget: int, worker: int, workers: int):
     """For each chunk j of the stream with j % workers == worker, one record
-    per message: (multiplications << mask_bits) | truncated digest, as
-    `width` big-endian bytes."""
+    per message: (multiplications << mask_bits) | truncated digest."""
     ctx = pub.context()
     shift = mask.bit_length()
     for j, chunk in enumerate(_draws(rng, pub.n, budget)):
@@ -178,8 +175,8 @@ def _digest_chunks(pub: PublicParams, rng, mask: int, width: int, budget: int, w
             for v in chunk:
                 before = ctx.mulcount
                 t = digest(pub, _drawn(v, pub.n), ctx).value & mask
-                records.append(((ctx.mulcount - before) << shift | t).to_bytes(width, "big"))
-            yield b"".join(records)
+                records.append((ctx.mulcount - before) << shift | t)
+            yield records
 
 
 def birthday_search(
@@ -192,7 +189,7 @@ def birthday_search(
     rng seeded with seed.
 
     The stream is cut into chunks of SEARCH_CHUNK messages, and chunk j is
-    digested by process j % W, for W processes from params._part_count
+    digested by process j % W, for W processes from _procs.part_count
     with at least MIN_SEARCH_WORK of the expected min(budget, threshold) * n
     each.  The W - 1 children replay the stream and send back each digest's
     truncated value and count; this process draws every message, digests its
@@ -209,25 +206,24 @@ def birthday_search(
     ctx = pub.context()
     seen: dict[int, int] = {}
     threshold = BIRTHDAY_COEFFICIENT * 2 ** (mask_bits / 2)
-    workers = _part_count(int(min(budget, threshold) * n), MIN_SEARCH_WORK)
+    workers = part_count(int(min(budget, threshold) * n), MIN_SEARCH_WORK)
     width = (mask_bits + 32 + 7) // 8  # bytes per record, 32 bits for the count
     producers = [
-        functools.partial(_digest_chunks, pub, random.Random(seed), mask, width, budget, w, workers)
+        functools.partial(_digest_chunks, pub, random.Random(seed), mask, budget, w, workers)
         for w in range(1, workers)
     ]
     trials = 0
 
-    with _Forked(producers) as children:
+    with Forked(producers, width) as children:
         for j, chunk in enumerate(_draws(random.Random(seed), n, budget)):
             w = j % workers
-            data = children.read(w - 1, len(chunk) * width) if w else None
+            records = children.read(w - 1, len(chunk)) if w else None
             for i, v in enumerate(chunk):
-                if data is None:
+                if records is None:
                     t = digest(pub, _drawn(v, n), ctx).value & mask
                 else:
-                    record = int.from_bytes(data[i * width : (i + 1) * width], "big")
-                    ctx._tick(record >> mask_bits)
-                    t = record & mask
+                    ctx._tick(records[i] >> mask_bits)
+                    t = records[i] & mask
                 trials += 1
                 prior = seen.setdefault(t, v)
                 if prior != v:
@@ -297,10 +293,3 @@ def brute_force_collision(pub: PublicParams) -> list[CollisionPair]:
                 )
             )
     return pairs
-
-
-def assp_density(n: int, m: int) -> Fraction:
-    """Knapsack density of the additive problem: n * ceil(lg n) / m."""
-    if n < 2 or m < 2:
-        raise DomainError("need n, m >= 2")
-    return Fraction(n * ceil_lg(n), m)

@@ -18,7 +18,6 @@ from typing import Sequence
 from .errors import (
     DomainError,
     InsufficientPrimesError,
-    LengthMismatchError,
     SearchExhaustedError,
 )
 from .numtheory import _WORD_PRIMORIAL, _sieve, is_probable_prime
@@ -172,18 +171,3 @@ def generate(n: int, P: int, rng) -> CoprimeSequence:
             picked.append(x)
             seen.add(x)
     return CoprimeSequence(tuple(picked))
-
-
-def subset_product(seq: CoprimeSequence, exponents: Sequence[int]) -> int:
-    """Exact integer product of seq[i] ** exponents[i], no modulus."""
-    if len(exponents) != len(seq):
-        raise LengthMismatchError(
-            f"{len(seq)} elements vs {len(exponents)} exponents"
-        )
-    out = 1
-    for a, e in zip(seq.elements, exponents):
-        if e < 0:
-            raise DomainError("exponents must be nonnegative")
-        if e:
-            out *= a**e
-    return out

@@ -157,12 +157,11 @@ def _proves_safe_prime(M: int) -> bool:
     return M % 3 != 0 and pow(2, M - 1, M) == 1
 
 
-def _square_multiply(base: int, exponent: int, M: int) -> tuple[int, int]:
-    """base**exponent mod M for exponent >= 1, by builtin pow, with the number
-    of multiplications that left-to-right binary square-and-multiply uses:
-    one squaring per bit after the leading one, plus one multiplication per
-    further set bit."""
-    return pow(base, exponent, M), exponent.bit_length() + exponent.bit_count() - 2
+def pow_muls(e: int) -> int:
+    """Multiplications of left-to-right binary square-and-multiply for
+    e >= 0: one squaring per bit after the leading one, plus one
+    multiplication per further set bit."""
+    return e.bit_length() + e.bit_count() - 2 if e else 0
 
 
 # Window width, in exponent bits, of ModContext.bit_products.
@@ -209,10 +208,9 @@ class ModContext:
         return a * b % self.M
 
     def mod_pow(self, base: int, exponent: int) -> int:
-        """base**exponent mod M by builtin pow, charged what left-to-right
-        binary square-and-multiply would use: bit_length + popcount - 2
-        multiplications for exponent >= 1.  The charge is that model's
-        count, not CPython's internal operation count.
+        """base**exponent mod M by builtin pow, charged pow_muls(exponent), the
+        multiplications of left-to-right binary square-and-multiply, not
+        CPython's internal operation count.
 
         Negative exponents go through the inverse of the base.
         """
@@ -239,7 +237,7 @@ class ModContext:
         Pippenger's algorithm): walking the exponents down, a running product
         takes in each group and is raised to the gap to the next exponent.
         c bases over k exponents cost c + k - 2 products plus each gap's
-        square-and-multiply, ticked once per call."""
+        pow_muls, ticked once per call."""
         M = self.M
         levels = sorted(groups, reverse=True)
         if not levels:
@@ -255,9 +253,8 @@ class ModContext:
             else:
                 for c in itemgetter(*ps)(bases):
                     running = running * c % M
-            term, k = _square_multiply(running, e - below, M)
-            acc = acc * term % M
-            muls += len(ps) + 1 + k
+            acc = acc * pow(running, e - below, M) % M
+            muls += len(ps) + 1 + pow_muls(e - below)
         self._tick(muls)
         return acc
 

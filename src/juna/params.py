@@ -16,10 +16,10 @@ import math
 import operator
 import os
 import secrets
-import threading
 from dataclasses import dataclass
 
 from . import coprime
+from ._procs import Forked, part_count
 from .bitcodec import BitString, bit_long_shadow
 from .errors import (
     CompositeSafeFormError,
@@ -37,6 +37,7 @@ from .numtheory import (
     find_safe_prime,
     is_probable_prime,
     multiplicative_order_safe,
+    pow_muls,
 )
 
 TEST_MIN_M = 12
@@ -168,161 +169,32 @@ def _initial_values_part(M, W, w_inv, delta, A, ell) -> list[int]:
     return [pow(a * pow(W if l >= 0 else w_inv, abs(l), M) % M, delta, M) for a, l in zip(A, ell)]
 
 
-def _pow_muls(e: int) -> int:
-    """Multiplications of left-to-right square-and-multiply for e >= 0."""
-    return max(e.bit_length() + e.bit_count() - 2, 0)
-
-
-def _part_count(work: int, least: int = MIN_PART) -> int:
-    """Processes to split `work` units over: one per usable CPU, each with
-    at least `least` units, and 1 where fork is missing or unsafe (other
-    threads)."""
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return max(1, min(cpus or 1, work // least))
-
-
-def _pin(cpu: int | None) -> bool:
-    """Keep this thread on `cpu`, if one is given and the system allows it;
-    whether it did."""
-    if cpu is None:
-        return False
-    try:
-        os.sched_setaffinity(0, {cpu})
-    except OSError:
-        return False
-    return True
-
-
-class _Forked:
-    """Forked children that each write the byte strings of one producer to a
-    pipe while this process reads them, an exact byte count at a time.
-
-    Used as a context manager around the work of this process.  Entering
-    starts one child per producer; where the system allows it (Linux) this
-    process is held on the first usable CPU and child j on the next, since a
-    new child can share its parent's CPU for hundreds of milliseconds before
-    the scheduler moves it (seen on a 2-vCPU VM).  Leaving kills and reaps
-    every child and restores this process's CPU set, on every exit path.
-    A child leaves by os._exit, so it never returns into the caller, runs no
-    atexit handler and flushes none of the parent's buffers.
-    """
-
-    def __init__(self, producers):
-        self.producers = producers
-        self.children: list[tuple[int, int] | None] = []
-        self.saved: set[int] = set()
-
-    def __enter__(self):
-        try:
-            if self.producers and hasattr(os, "sched_setaffinity"):
-                self.saved = os.sched_getaffinity(0)
-            cpus = sorted(self.saved) or [None]
-            if not _pin(cpus[0]):
-                self.saved = set()
-            for j, produce in enumerate(self.producers, 1):
-                self.children.append(self._start(cpus[j % len(cpus)], produce))
-        except BaseException:
-            self.__exit__()
-            raise
-        return self
-
-    def __exit__(self, *exc_info):
-        try:
-            for j in range(len(self.children)):
-                self._reap(j)
-        finally:
-            if self.saved:
-                os.sched_setaffinity(0, self.saved)
-
-    @staticmethod
-    def _start(cpu, produce) -> tuple[int, int] | None:
-        """(pid, read end) of a child on `cpu` writing each byte string of
-        produce() to a pipe, or None if it cannot be started."""
-        try:
-            r, w = os.pipe()
-        except OSError:
-            return None
-        try:
-            pid = os.fork()
-        except OSError:
-            os.close(r)
-            os.close(w)
-            return None
-        if pid == 0:
-            try:
-                os.close(r)
-                _pin(cpu)
-                for data in produce():
-                    done = 0
-                    while done < len(data):
-                        done += os.write(w, data[done:])
-                os._exit(0)
-            finally:
-                os._exit(1)
-        os.close(w)
-        return pid, r
-
-    def read(self, j: int, size: int) -> bytes | None:
-        """The next `size` bytes from child j (from 0), or None if it ended
-        before writing them; a child that ended is reaped and reads as None
-        from then on."""
-        child = self.children[j]
-        if child is None:
-            return None
-        chunks = []
-        while size:
-            chunk = os.read(child[1], size)
-            if not chunk:
-                self._reap(j)
-                return None
-            chunks.append(chunk)
-            size -= len(chunk)
-        return b"".join(chunks)
-
-    def _reap(self, j: int):
-        """Close child j's pipe, kill it and wait for it, if it is still here."""
-        import signal
-
-        child, self.children[j] = self.children[j], None
-        if child is not None:
-            pid, r = child
-            os.close(r)
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
 def _compute_initial_values(ctx, A, ell, W, delta) -> tuple[int, ...]:
     """C_i = (A_i * W**ell_i)**delta mod M, with ctx charged what
     square-and-multiply would use for each power, plus one product per value.
 
-    The pairs are split into _part_count contiguous parts.  Forked children
+    The pairs are split into part_count contiguous parts.  Forked children
     compute all parts but the first, which this process computes meanwhile;
     a part whose child fails is computed here, so the values and the count
     never depend on the split.
     """
     M = ctx.M
     w_inv = ctx.mod_inverse(W)
-    k = _part_count(len(A))
+    k = part_count(len(A), MIN_PART)
     cuts = [len(A) * j // k for j in range(k + 1)]
     parts = [(A[lo:hi], ell[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
-    width = (M.bit_length() + 7) // 8
 
-    def packed(a, l):
-        values = _initial_values_part(M, W, w_inv, delta, a, l)
-        yield b"".join(c.to_bytes(width, "big") for c in values)
+    def produce(a, l):
+        yield _initial_values_part(M, W, w_inv, delta, a, l)
 
-    with _Forked([functools.partial(packed, a, l) for a, l in parts[1:]]) as children:
+    producers = [functools.partial(produce, a, l) for a, l in parts[1:]]
+    with Forked(producers, (M.bit_length() + 7) // 8) as children:
         out = _initial_values_part(M, W, w_inv, delta, *parts[0])
-        joined = [children.read(j, len(a) * width) for j, (a, _) in enumerate(parts[1:])]
-    for data, (a, l) in zip(joined, parts[1:]):
-        if data is None:
-            out += _initial_values_part(M, W, w_inv, delta, a, l)
-        else:
-            out += [int.from_bytes(data[i : i + width], "big") for i in range(0, len(data), width)]
-    powers_of_w = sum(_pow_muls(abs(l)) for _, l in zip(A, ell))
-    ctx._tick(powers_of_w + len(out) * (1 + _pow_muls(delta)))
+        sent = [children.read(j, len(a)) for j, (a, _) in enumerate(parts[1:])]
+    for values, (a, l) in zip(sent, parts[1:]):
+        out += _initial_values_part(M, W, w_inv, delta, a, l) if values is None else values
+    powers_of_w = sum(pow_muls(abs(l)) for _, l in zip(A, ell))
+    ctx._tick(powers_of_w + len(out) * (1 + pow_muls(delta)))
     return tuple(out)
 
 
@@ -702,12 +574,12 @@ def _split(data: bytes):
     digits (bytes.isdigit: int() also takes +, _ and spaces), an L piece
     after one optional sign.  A bad field line raises the walk's ParseError."""
     end = data.find(b"\n")
-    layout = _LAYOUT.get(data[:end].decode()) if end >= 0 else None
+    layout = _LAYOUT.get(data[:end].decode("latin-1")) if end >= 0 else None
     if layout is None:
         return None
     fields, keys = layout
     head, *block = data.split(f"\n{keys[0]}=".encode())
-    if not block or head.count(b"\n") != len(fields):
+    if not block or head.count(b"\n") != len(fields) or not head.isascii():
         return None
     lines = head.decode().split("\n")
     values = [_expect_int(lines, i, key) for i, key in enumerate(fields, 1)]
@@ -744,12 +616,12 @@ def _walk(text: str):
 def parse(data: bytes | str) -> PublicParams | PrivateParams:
     """Parse a parameter file, as ASCII bytes or text; the header line picks
     the flavour.  ASCII text is encoded once, and _split reads the bytes.  A
-    file it does not accept, or text with a non-ASCII character, is read line
-    by line, to name the first bad line."""
+    file it does not accept is read line by line, to name the first bad line;
+    bytes that hold a non-ASCII byte name the first one instead."""
     if isinstance(data, str) and data.isascii():
         data = data.encode()
     raw = isinstance(data, bytes)
-    keys, values, blocks = raw and _split(data) or _walk(data.decode() if raw else data)
+    keys, values, blocks = raw and _split(data) or _walk(_ascii(data).decode() if raw else data)
     try:
         return (PublicParams(*values, *blocks) if keys == "C"
                 else PrivateParams(*values, coprime.CoprimeSequence(blocks[0]), blocks[1]))
@@ -768,6 +640,11 @@ def read_ascii(path, limit: int) -> bytes:
             data += fh.read(limit + 1 - first)
     if len(data) > limit:
         raise ParseError(f"file is over {limit} bytes")
+    return _ascii(data)
+
+
+def _ascii(data: bytes) -> bytes:
+    """data if it is ASCII, else the ParseError naming its first other byte."""
     if not data.isascii():
         bad = next(i for i, b in enumerate(data) if b > 127)
         raise ParseError(f"non-ASCII byte at offset {bad}")

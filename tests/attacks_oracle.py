@@ -3,10 +3,12 @@
 Exhaustive subset-sum search is the oracle for the meet-in-the-middle
 solver: it enumerates assignments with bound pruning and shares no code
 with the sorted-table split of juna.attacks.mitm_subset_sum.  The serial
-birthday loop is the oracle for the forked birthday search.
+birthday loop is the oracle for the forked birthday search.  The knapsack
+density is the figure README quotes for the additive problem.
 """
 
 import random
+from fractions import Fraction
 
 from juna.attacks import (
     BIRTHDAY_COEFFICIENT,
@@ -16,7 +18,8 @@ from juna.attacks import (
 )
 from juna.bitcodec import BitString
 from juna.compress import digest
-from juna.errors import InstanceTooLargeError
+from juna.errors import DomainError, InstanceTooLargeError
+from juna.numtheory import ceil_lg
 
 BRUTE_CAP = 24
 
@@ -100,3 +103,10 @@ def birthday_search_serial(pub, mask_bits: int, budget: int, seed: int) -> Birth
     return BirthdayStats(
         trials=budget, collision=None, threshold=threshold, seed=seed, mask_bits=mask_bits
     )
+
+
+def assp_density(n: int, m: int) -> Fraction:
+    """Knapsack density of the additive problem: n * ceil(lg n) / m."""
+    if n < 2 or m < 2:
+        raise DomainError("need n, m >= 2")
+    return Fraction(n * ceil_lg(n), m)

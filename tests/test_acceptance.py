@@ -19,12 +19,13 @@ from juna.attacks import (
 from juna.bitcodec import BitString, bit_long_shadow, bit_shadow
 from juna.chp import compare_costs
 from juna.compress import digest
-from juna.coprime import generate, subset_product, verify
+from juna.coprime import generate, verify
 from juna.numtheory import ceil_lg, is_probable_prime
 from juna.params import certify_collision, initialize, validate
 
 from attacks_oracle import brute_force_solve
 from compress_oracle import digest_oracle
+from coprime_oracle import subset_product
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 

@@ -13,7 +13,6 @@ from juna.attacks import (
     MAX_INSTANCE_DIGITS,
     SEARCH_CHUNK,
     SubsetSumInstance,
-    assp_density,
     birthday_search,
     brute_force_collision,
     mitm_subset_sum,
@@ -22,7 +21,7 @@ from juna.attacks import (
 from juna.compress import digest
 from juna.errors import DomainError, InstanceTooLargeError, JunaError, ParseError
 
-from attacks_oracle import birthday_search_serial, brute_force_solve
+from attacks_oracle import assp_density, birthday_search_serial, brute_force_solve
 
 
 def test_mitm_examples():
@@ -219,7 +218,7 @@ def workers(monkeypatch):
     """Sets the number of processes of every search in the test."""
 
     def set_count(k):
-        monkeypatch.setattr(attacks, "_part_count", lambda work, least: k)
+        monkeypatch.setattr(attacks, "part_count", lambda work, least: k)
 
     return set_count
 
@@ -255,13 +254,13 @@ def test_forked_search_spends_its_budget_as_the_serial_search(
 def test_search_forks_only_from_two_processes_worth_of_work(
     mid_pub, reference_pub, forks, monkeypatch
 ):
-    asked, real = [], attacks._part_count
+    asked, real = [], attacks.part_count
 
     def spy(work, least):
         asked.append(work // least)
         return real(work, least)
 
-    monkeypatch.setattr(attacks, "_part_count", spy)
+    monkeypatch.setattr(attacks, "part_count", spy)
     for pub, mask_bits, budget in (
         (mid_pub, 16, 5000),  # acceptance criterion 8's searches
         (mid_pub, 20, 1 << 16),

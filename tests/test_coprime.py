@@ -8,7 +8,6 @@ from juna.coprime import (
     CoprimeSequence,
     first_violation,
     generate,
-    subset_product,
     verify,
 )
 from juna.errors import (
@@ -17,6 +16,7 @@ from juna.errors import (
     LengthMismatchError,
     SearchExhaustedError,
 )
+from coprime_oracle import subset_product
 from search_oracle import generate_by_randrange
 
 

@@ -470,6 +470,38 @@ def test_fuzz_parse(text):
     assert parse(serialize(obj)) == obj
 
 
+_BYTE_FILES = [f.encode() for f in _PARAM_FILES] + [
+    (Path(params.__file__).parent / "data" / "m80_n256.pub").read_bytes()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.binary(),
+        st.tuples(st.sampled_from(_BYTE_FILES), st.integers(0, len(_BYTE_FILES[-1])),
+                  st.integers(128, 255))
+        .map(lambda t: t[0][: t[1]] + bytes([t[2]]) + t[0][t[1]:]),
+    )
+)
+def test_fuzz_parse_bytes(data):
+    try:
+        obj = parse(data)
+    except JunaError:
+        return
+    assert parse(serialize(obj)) == obj
+
+
+@pytest.mark.parametrize("data, offset", [
+    (b"\xff\n", 0),
+    (b"JUNA-PUB 1\nm=\xff\n", 13),
+    (b"JUNA-PUB 1\nm=\xc3\xa9\n", 13),  # UTF-8 text is still not ASCII
+])
+def test_parse_of_bytes_names_the_first_non_ascii_byte(data, offset):
+    with pytest.raises(ParseError) as err:
+        parse(data)
+    assert str(err.value) == f"non-ASCII byte at offset {offset}"
+
+
 def test_reference_file_with_missing_value_line():
     from importlib.resources import files
 
@@ -846,7 +878,7 @@ def test_forked_parts_give_the_serial_values_and_count(values_232, failure, monk
         raise OSError("refused")
 
     monkeypatch.setattr(params, "_initial_values_part", part)
-    monkeypatch.setattr(params, "_part_count", lambda n: 3)
+    monkeypatch.setattr(params, "part_count", lambda work, least: 3)
     if failure == "fork-refused":
         monkeypatch.setattr(params.os, "fork", refused)
     if failure == "pin-refused":
@@ -865,22 +897,3 @@ def test_forked_parts_give_the_serial_values_and_count(values_232, failure, monk
         assert affinity(0) == before
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)  # every child was reaped
-
-
-def test_part_count_reads_cpus_values_threads_and_fork(monkeypatch):
-    monkeypatch.setattr(params.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-    assert [params._part_count(n) for n in (96, 1023, 1024, 4096)] == [1, 1, 2, 4]
-    monkeypatch.delattr(params.os, "sched_getaffinity")
-    monkeypatch.setattr(params.os, "cpu_count", lambda: 3)
-    assert params._part_count(4096) == 3
-    release = threading.Event()
-    other = threading.Thread(target=release.wait)
-    other.start()
-    try:
-        assert params._part_count(4096) == 1  # fork copies no other thread
-    finally:
-        release.set()
-        other.join(timeout=10)
-    assert not other.is_alive()
-    monkeypatch.delattr(params.os, "fork")
-    assert params._part_count(4096) == 1

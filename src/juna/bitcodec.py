@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import repeat
 from string import hexdigits
 
 from .errors import (
@@ -29,16 +29,15 @@ from .errors import (
 MIN_BITS = 4  # relaxed floor so exhaustive tests stay feasible
 MAX_BITS = 4096
 
-_ZERO_ONE = bytes.maketrans(b"01", b"\x00\x01")
+# 0x90 + 2 * bit + partner, for a 1-bit, to its partner
+_PARTNER = bytes.maketrans(b"\x92\x93", b"\x00\x01")
 
 
-def leading_bits(data: str | bytes, take: int | None = None) -> str:
-    """The first take bits (all by default) of hex text or raw bytes.
-
-    Hex text is stripped of surrounding whitespace and must then be bare
-    digits: no sign, prefix or separator.  Bits are read most significant
-    first and returned as 0/1 text.
-    """
+def leading_bits(data: str | bytes, take: int | None = None) -> tuple[int, int]:
+    """The first take bits (all by default) of hex text or raw bytes, as
+    (value, take), first bit most significant.  Hex text is stripped of
+    surrounding whitespace and must then be bare digits: no sign, prefix or
+    separator."""
     if isinstance(data, str):
         text = data.strip()
         if not text or text.strip(hexdigits):
@@ -49,7 +48,7 @@ def leading_bits(data: str | bytes, take: int | None = None) -> str:
     take = total if take is None else take
     if not 0 < take <= total:
         raise LengthMismatchError(f"asked for {take} bits, input has {total}")
-    return format(value >> (total - take), f"0{take}b")
+    return value >> (total - take), take
 
 
 @dataclass(frozen=True)
@@ -83,7 +82,7 @@ class BitString:
     @classmethod
     def from_hex(cls, text: str, n: int) -> "BitString":
         """First n bits of the hex digits, most significant bit first."""
-        return cls.from_string(leading_bits(text, n))
+        return cls(*leading_bits(text, n))
 
     def __str__(self) -> str:
         return format(self.value, f"0{self.n}b")
@@ -189,9 +188,11 @@ def bit_long_shadow(msg: BitString) -> ShadowString:
     across the string is set."""
     s = str(msg)
     half = len(s) // 2
-    mask = s.encode().translate(_ZERO_ONE)
+    b = s.encode()
     # rotating by half lines each bit up with its partner
-    return _encode(s, compress(mask[half:] + mask[:half], mask))
+    both = int.from_bytes(b, "big") * 2 + int.from_bytes(b[half:] + b[:half], "big")
+    # each byte is 0x90 + 2 * bit + partner, at most 0x93, so no byte carries
+    return _encode(s, iter(both.to_bytes(len(b), "big").translate(_PARTNER, b"\x90\x91")))
 
 
 def recover_bits(ls: ShadowString) -> BitString:

@@ -49,11 +49,13 @@ def _load(path, private: bool = False):
 
 def _message_from_args(args, n: int) -> tuple[BitString, bool]:
     if args.msg_bits is not None:
-        text = args.msg_bits
-    elif args.msg_hex is not None:
+        if args.pad and len(args.msg_bits) < n:
+            return pad_to_length(args.msg_bits, n), True
+        return BitString.from_string(args.msg_bits), False
+    if args.msg_hex is not None:
         if args.bits is None:
             raise _UsageError("--msg-hex needs --bits")
-        text = leading_bits(args.msg_hex, args.bits)
+        value, take = leading_bits(args.msg_hex, args.bits)
     else:
         if args.bits is None:
             limit = MAX_BITS // 8 + 1
@@ -65,10 +67,10 @@ def _message_from_args(args, n: int) -> tuple[BitString, bool]:
             data = fh.read(limit)
         if 8 * len(data) > MAX_BITS:
             raise ParseError(f"message file holds more than {MAX_BITS} bits")
-        text = leading_bits(data, args.bits)
-    if args.pad and len(text) < n:
-        return pad_to_length(text, n), True
-    return BitString.from_string(text), False
+        value, take = leading_bits(data, args.bits)
+    if args.pad and take < n:
+        return pad_to_length(format(value, f"0{take}b"), n), True
+    return BitString(value, take), False
 
 
 def cmd_keygen(args) -> int:

@@ -61,11 +61,8 @@ _DETERMINISTIC_BASES = (
 
 
 def _miller_rabin(n: int, bases) -> bool:
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
+    r = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> r
     for a in bases:
         a %= n
         if a == 0:
@@ -98,44 +95,44 @@ def _jacobi(a: int, n: int) -> int:
     return sign if n == 1 else 0
 
 
-def _strong_lucas(n: int) -> bool:
-    """Strong Lucas test of odd n > 2 with Selfridge's parameters: D the first
-    of 5, -7, 9, ... with (D/n) = -1, P = 1, Q = (1 - D)/4.  For n + 1 = d * 2**s,
-    d odd, n passes if U_d = 0 or V_(d * 2**r) = 0 for some r < s."""
+def _almost_extra_strong_lucas(n: int) -> bool:
+    """Almost-extra-strong Lucas test of odd n > 2 (Grantham, "Frobenius
+    pseudoprimes", Math. Comp. 2001): P the first of 3, 4, 5, ... with
+    ((P**2 - 4)/n) = -1, and Q = 1.  For n + 1 = d * 2**s, d odd, n passes if
+    V_d = +-2 or V_(d * 2**r) = 0 for some r < s - 1.  With Q = 1 no power
+    of Q is carried: the ladder on (V_k, V_(k+1)) costs two products a bit."""
     if math.isqrt(n) ** 2 == n:
-        return False  # no D has (D/n) = -1 for a square n
-    D = 5
-    while (j := _jacobi(D, n)) != -1:
-        if j == 0 and abs(D) != n:
+        return False  # no P has ((P**2 - 4)/n) = -1 for a square n
+    P = 3
+    while (j := _jacobi(P * P - 4, n)) != -1:
+        if j == 0 and P * P - 4 != n:
             return False
-        D = -D - 2 if D > 0 else -D + 2
-    Q = (1 - D) // 4
+        P += 1
     s = ((n + 1) & -(n + 1)).bit_length() - 1
-    U, V, Qk = 1, 1, Q % n  # U_1, V_1 and Q**1
-    for bit in bin((n + 1) >> s)[3:]:
-        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n  # k -> 2k
-        if bit == "1":  # 2k -> 2k + 1: halve U + V and D*U + V, unreduced, mod odd n
-            U, V, Qk = U + V, D * U + V, Qk * Q % n
-            U = (U + n if U & 1 else U) >> 1
-            V = (V + n if V & 1 else V) >> 1
-    U, V = U % n, V % n
-    if U == 0:
+    V, W = 2, P  # V_k and V_(k+1), from k = 0
+    for bit in bin((n + 1) >> s)[2:]:
+        if bit == "1":  # k -> 2k + 1
+            V, W = (V * W - P) % n, (W * W - 2) % n
+        else:  # k -> 2k
+            V, W = (V * V - 2) % n, (V * W - P) % n
+    if V == 2 or V == n - 2:
         return True
-    for _ in range(s):
+    for _ in range(s - 1):
         if V == 0:
             return True
-        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        V = (V * V - 2) % n
     return False
 
 
 def is_probable_prime(x: int) -> bool:
     """Whether x >= 2 is prime: trial division by the primes up to 47 below
     4 759 123 141 and by those below 2000 above it, then Miller-Rabin with
-    bases proven deterministic below 3.3 * 10**24, and
-    Baillie-PSW above (Baillie and Wagstaff, Math. Comp. 1980).  No composite
-    is known to pass Baillie-PSW and none exists below 2**64; unlike for
-    Miller-Rabin to bases known in advance, no way to build one is known
-    (Albrecht et al., "Prime and Prejudice", CCS 2018)."""
+    bases proven deterministic below 3.3 * 10**24, so only larger x meet the
+    Lucas half.  Above it, Baillie-PSW (Baillie and Wagstaff, Math. Comp.
+    1980): a base-2 strong test and the almost-extra-strong Lucas test.  No
+    composite is known to pass it; unlike for Miller-Rabin to bases known in
+    advance, no way to build one is known (Albrecht et al., "Prime and
+    Prejudice", CCS 2018)."""
     if x < 2:
         raise DomainError("primality is asked of integers >= 2")
     if x <= _SMALL_PRIMES[-1]:
@@ -146,7 +143,7 @@ def is_probable_prime(x: int) -> bool:
     for bound, bases in _DETERMINISTIC_BASES:
         if x < bound:
             return _miller_rabin(x, bases)
-    return _miller_rabin(x, (2,)) and _strong_lucas(x)
+    return _miller_rabin(x, (2,)) and _almost_extra_strong_lucas(x)
 
 
 def _proves_safe_prime(M: int) -> bool:

@@ -2,12 +2,12 @@
 
 Primality divides by each prime below 2000 in turn, then runs
 Miller-Rabin with the 13 bases that are deterministic below 3.3 * 10**24,
-or with 64 bases drawn from an rng seeded by x above that.  The strong
-Lucas test steps the Lucas recurrence by powers of its 2x2 matrix and
-takes the Jacobi symbol from the factors of n.  The safe-prime loop tests
-each candidate q in full before it looks at 2q + 1.  None of this shares
-code with the gcd trial division, the tiered bases, the U/V doubling
-ladder or the combined sieve behind juna.numtheory.
+or with 64 bases drawn from an rng seeded by x above that.  The
+almost-extra-strong Lucas test steps the Lucas recurrence by powers of
+its 2x2 matrix and takes the Jacobi symbol from the factors of n.  The
+safe-prime loop tests each candidate q in full before it looks at 2q + 1.
+None of this shares code with the gcd trial division, the tiered bases,
+the V-only ladder or the combined sieve behind juna.numtheory.
 """
 
 import math
@@ -69,36 +69,39 @@ def _mat_mul(x, y, n: int):
     return [[(x[i][0] * y[0][j] + x[i][1] * y[1][j]) % n for j in (0, 1)] for i in (0, 1)]
 
 
-def strong_lucas_plain(n: int, jacobi=_jacobi_by_factors) -> bool:
-    """Strong Lucas test of odd n > 1, not a square, with Selfridge's D, P
-    and Q.  The recurrence X_(j+1) = P X_j - Q X_(j-1) is stepped k times by
-    the k-th power of its matrix [[P, -Q], [1, 0]], whose bottom row applied
-    to (U_1, U_0) = (1, 0) and (V_1, V_0) = (P, 2) gives U_k and V_k.
+def almost_extra_strong_lucas_plain(n: int, jacobi=_jacobi_by_factors) -> bool:
+    """Almost-extra-strong Lucas test of odd n > 1, not a square: P the first
+    of 3, 4, 5, ... with ((P**2 - 4)/n) = -1, and Q = 1.  The recurrence
+    V_(j+1) = P V_j - V_(j-1) is stepped k times by the k-th power of its
+    matrix [[P, -1], [1, 0]], whose bottom row applied to (V_1, V_0) = (P, 2)
+    gives V_k.  For n + 1 = d * 2**s, d odd, n passes if V_d = +-2 or
+    V_(d * 2**r) = 0 for some r < s - 1.
 
-    jacobi(D, n) picks D; the default factors n by trial division, so a
-    large n needs another."""
-    D = 5
-    while (j := jacobi(D, n)) != -1:
-        if j == 0 and abs(D) != n:
+    jacobi(P**2 - 4, n) picks P; the default factors n by trial division, so
+    a large n needs another."""
+    P = 3
+    while (j := jacobi(P * P - 4, n)) != -1:
+        if j == 0 and P * P - 4 != n:
             return False
-        D = -D - 2 if D > 0 else 2 - D
-    P, Q = 1, (1 - D) // 4
+        P += 1
     d, s = n + 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    A, base, k = [[1, 0], [0, 1]], [[P, -Q % n], [1, 0]], d
+    A, base, k = [[1, 0], [0, 1]], [[P % n, n - 1], [1, 0]], d
     while k:
         if k & 1:
             A = _mat_mul(A, base, n)
         base = _mat_mul(base, base, n)
         k >>= 1
-    if A[1][0] == 0:  # U_d
+    V = (A[1][0] * P + A[1][1] * 2) % n  # V_d
+    if V in (2, n - 2):
         return True
-    for _ in range(s):
-        if (A[1][0] * P + A[1][1] * 2) % n == 0:  # V_(d * 2**r)
+    for _ in range(s - 1):
+        if V == 0:
             return True
         A = _mat_mul(A, A, n)
+        V = (A[1][0] * P + A[1][1] * 2) % n  # V_(d * 2**r), r one higher
     return False
 
 

@@ -193,10 +193,10 @@ def test_hex_accepts_bare_digits_only(text):
 
 
 def test_leading_bits_of_hex_and_bytes():
-    assert leading_bits(" A3\n") == "10100011"
-    assert leading_bits("a3", 3) == "101"
-    assert leading_bits(b"\x56\xff", 8) == "01010110"
-    assert leading_bits(b"\x01") == "00000001"
+    assert leading_bits(" A3\n") == (0b10100011, 8)
+    assert leading_bits("a3", 3) == (0b101, 3)
+    assert leading_bits(b"\x56\xff", 8) == (0b01010110, 8)
+    assert leading_bits(b"\x01") == (1, 8)
     for data, take in ((b"", None), (b"\x01", 9), (b"\x01", 0), ("f", -4)):
         with pytest.raises(LengthMismatchError):
             leading_bits(data, take)
@@ -280,7 +280,7 @@ def test_fuzz_from_hex(text, n):
 @given(st.binary(max_size=MAX_BITS // 8 + 2), st.integers(-8, MAX_BITS + 16))
 def test_fuzz_from_bytes(data, n):
     try:
-        msg = BitString.from_string(leading_bits(data, n))
+        msg = BitString(*leading_bits(data, n))
     except JunaError:
         return
     assert str(msg) == "".join(format(b, "08b") for b in data)[:n]

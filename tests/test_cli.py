@@ -528,6 +528,22 @@ def test_birthday_search_output_is_pinned():
     assert hashlib.sha256(proc.stdout).hexdigest() == BIRTHDAY_20_SHA256
 
 
+# stdout of chp setup at 512 bits, where the Lucas half of Baillie-PSW
+# decides each candidate q, and of a chp hash on the file it writes
+CHP_512_SHA256 = "be90e779e7b6590df27c9cfa1596fe07a802d07c9f5ad76df1f69276d6eb981f"
+CHP_512_HASH_SHA256 = "4c6510da66b8ea4e49ebe06649d23d253a0c5f107d4dc7a1c0bf5fc795e2bfa2"
+
+
+def test_chp_setup_and_hash_at_512_bits_are_pinned(tmp_path, capsys):
+    assert main(["chp", "setup", "--bits", "512", "--seed", "7"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == CHP_512_SHA256
+    out = str(tmp_path / "c512.chp")
+    assert main(["chp", "setup", "--bits", "512", "--seed", "7", "--out", out]) == 0
+    capsys.readouterr()
+    assert main(["chp", "hash", "--params", out, "--w1", "12345", "--w2", "67890"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == CHP_512_HASH_SHA256
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

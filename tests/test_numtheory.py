@@ -17,8 +17,8 @@ from juna.numtheory import (
     _SMALL_PRIMES,
     ModContext,
     _miller_rabin,
+    _almost_extra_strong_lucas,
     _proves_safe_prime,
-    _strong_lucas,
     ceil_lg,
     find_safe_prime,
     is_probable_prime,
@@ -31,7 +31,7 @@ from prime_oracle import (
     composite_safe_form,
     find_safe_prime_plain,
     is_probable_prime_plain,
-    strong_lucas_plain,
+    almost_extra_strong_lucas_plain,
 )
 from search_oracle import find_safe_prime_unscreened
 
@@ -115,30 +115,34 @@ def odd_below_1e5():
 
 
 def test_lucas_half_rejects_base2_strong_pseudoprimes(odd_below_1e5):
-    primes, composites = odd_below_1e5
-    spsp2 = [n for n in composites if _strong_probable_prime(n, 2)]
-    assert spsp2[:3] == [2047, 3277, 4033] and len(spsp2) == 16
+    primes, _ = odd_below_1e5
+    flags = _sieve_flags(10**6)
+    spsp2 = [n for n in range(3, 10**6, 2) if not flags[n] and _strong_probable_prime(n, 2)]
+    assert spsp2[:3] == [2047, 3277, 4033] and len(spsp2) == 46
     for n in spsp2:
-        assert _miller_rabin(n, (2,)) and not _strong_lucas(n), n
+        assert _miller_rabin(n, (2,)) and not _almost_extra_strong_lucas(n), n
     assert all(_miller_rabin(p, (2,)) for p in primes)
+
+
+# The almost-extra-strong Lucas pseudoprimes below 10**5, P chosen as in the kernel.
+_AESLPSP_BELOW_1E5 = [989, 3239, 5777, 10469, 10877, 27971, 29681, 30739, 31631, 39059,
+                      72389, 73919, 75077]
 
 
 def test_base2_half_rejects_strong_lucas_pseudoprimes(odd_below_1e5):
     primes, composites = odd_below_1e5
-    slpsp = [n for n in composites if strong_lucas_plain(n)]
-    assert slpsp[:3] == [5459, 5777, 10877] and len(slpsp) == 12
-    # the doubling ladder passes exactly the composites the recurrence passes
-    assert [n for n in composites if _strong_lucas(n)] == slpsp
-    assert all(_strong_lucas(p) for p in primes)
-    for n in slpsp:
+    assert [n for n in composites if almost_extra_strong_lucas_plain(n)] == _AESLPSP_BELOW_1E5
+    # the V-only ladder passes exactly the composites the recurrence passes
+    assert [n for n in composites if _almost_extra_strong_lucas(n)] == _AESLPSP_BELOW_1E5
+    assert all(_almost_extra_strong_lucas(p) for p in primes)
+    for n in _AESLPSP_BELOW_1E5:
         assert not _miller_rabin(n, (2,)), n
 
 
 def test_strong_lucas_is_the_recurrence_at_64_to_232_bits(keygen_4096):
-    # the ladder halves U + V and D*U + V by parity and leaves them unreduced
-    # for the next doubling; below 10**5 (every odd n is compared in
-    # test_base2_half_rejects_strong_lucas_pseudoprimes) they stay small.
-    # Factoring these n is out of reach, so D comes from juna's Jacobi symbol.
+    # the V-only ladder against the matrix powers of the recurrence, at the
+    # widths keygen tests.  Factoring these n is out of reach, so P comes
+    # from juna's Jacobi symbol.
     rng = random.Random(64232)
     odd, fermat = [], [(params.load(keygen_4096[1]).M - 1) // 2]  # seed-4096 cofactor
     while len(fermat) < 41:
@@ -152,8 +156,9 @@ def test_strong_lucas_is_the_recurrence_at_64_to_232_bits(keygen_4096):
             odd.append(n)
     assert len(odd) == 1000
     for n in odd + fermat:
-        assert _strong_lucas(n) == strong_lucas_plain(n, numtheory._jacobi), n
-    assert all(_strong_lucas(n) for n in fermat)
+        expected = almost_extra_strong_lucas_plain(n, numtheory._jacobi)
+        assert _almost_extra_strong_lucas(n) == expected, n
+    assert all(_almost_extra_strong_lucas(n) for n in fermat)
 
 
 def test_lucas_half_rejects_prime_squares():
@@ -161,7 +166,7 @@ def test_lucas_half_rejects_prime_squares():
     assert _miller_rabin(3511**2, (2,))
     flags = _sieve_flags(3000)
     for p in [q for q in range(2001, 3000) if flags[q]] + [3511, 2**61 - 1, 2**89 - 1]:
-        assert not _strong_lucas(p * p), p
+        assert not _almost_extra_strong_lucas(p * p), p
     assert not is_probable_prime((2**89 - 1) ** 2)
 
 
@@ -186,7 +191,7 @@ def test_bpsw_needs_both_halves(monkeypatch):
             for b in (10**12, 10**13))
     n = p * q  # a semiprime above the bound, with no factor below 2000
     assert n > _BPSW_FROM and not is_probable_prime(n)
-    monkeypatch.setattr(numtheory, "_strong_lucas", lambda n: True)
+    monkeypatch.setattr(numtheory, "_almost_extra_strong_lucas", lambda n: True)
     assert not is_probable_prime(n)  # the base-2 half rejects it alone
     monkeypatch.undo()
     monkeypatch.setattr(numtheory, "_miller_rabin", lambda n, bases: True)

@@ -4,9 +4,9 @@ pins a CPU or knows the pipe record format."""
 
 from __future__ import annotations
 
+import io
 import os
 import threading
-from typing import BinaryIO
 
 
 def part_count(work: int, least: int) -> int:
@@ -48,7 +48,7 @@ class Forked:
     def __init__(self, producers, width: int):
         self.producers = producers
         self.width = width
-        self.children: list[tuple[int, BinaryIO] | None] = []
+        self.children: list[tuple[int, io.BufferedReader] | None] = []
         self.saved: set[int] = set()
 
     def __enter__(self):
@@ -73,7 +73,7 @@ class Forked:
             if self.saved:
                 os.sched_setaffinity(0, self.saved)
 
-    def _start(self, cpu, produce) -> tuple[int, BinaryIO] | None:
+    def _start(self, cpu, produce) -> tuple[int, io.BufferedReader] | None:
         """(pid, read end) of a child on `cpu` writing the records of
         produce() to a pipe, or None if it cannot be started."""
         try:

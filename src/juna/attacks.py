@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 
 from .bitcodec import BitString, _drawn, bit_long_shadow
@@ -42,16 +42,15 @@ MAX_INSTANCE_BYTES = 1 << 16
 MAX_INSTANCE_DIGITS = 1000
 
 
-@dataclass(frozen=True)
-class SubsetSumInstance:
-    c: tuple[int, ...]
-    s: int
+class SubsetSumInstance(namedtuple("SubsetSumInstance", "c s")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if any(x < 1 for x in self.c):
+    def __new__(cls, c: tuple[int, ...], s: int):
+        if any(x < 1 for x in c):
             raise DomainError("weights must be positive")
-        if self.s < 0:
+        if s < 0:
             raise DomainError("target must be nonnegative")
+        return tuple.__new__(cls, (c, s))
 
     @property
     def n(self) -> int:
@@ -131,16 +130,12 @@ def mitm_subset_sum(inst: SubsetSumInstance) -> tuple[int, ...] | None:
     return None
 
 
-@dataclass(frozen=True)
-class BirthdayStats:
-    """Outcome of one truncated-digest birthday experiment."""
+class BirthdayStats(namedtuple("BirthdayStats", "trials collision threshold seed mask_bits collision_value",
+                               defaults=(None,))):
+    """Outcome of one truncated-digest birthday experiment: collision is a
+    pair of BitStrings or None."""
 
-    trials: int
-    collision: tuple[BitString, BitString] | None
-    threshold: float
-    seed: int
-    mask_bits: int
-    collision_value: int | None = None
+    __slots__ = ()
 
 
 def check_birthday(pub: PublicParams, mask_bits: int, budget: int) -> None:
@@ -244,16 +239,11 @@ def birthday_search(
     )
 
 
-@dataclass(frozen=True)
-class CollisionPair:
+class CollisionPair(namedtuple("CollisionPair", "msg1 msg2 digest_value ydiff product_is_one")):
     """Two distinct messages with equal (full) digests, plus the
     long-shadow difference and its product identity check."""
 
-    msg1: BitString
-    msg2: BitString
-    digest_value: int
-    ydiff: tuple[int, ...]
-    product_is_one: bool
+    __slots__ = ()
 
 
 def brute_force_collision(pub: PublicParams) -> list[CollisionPair]:

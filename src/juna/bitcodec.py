@@ -12,10 +12,8 @@ add up to n, long shadows to something between n and 2n.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass
+from collections import defaultdict, namedtuple
 from itertools import repeat
-from string import hexdigits
 
 from .errors import (
     DomainError,
@@ -31,16 +29,17 @@ MAX_BITS = 4096
 
 # 0x90 + 2 * bit + partner, for a 1-bit, to its partner
 _PARTNER = bytes.maketrans(b"\x92\x93", b"\x00\x01")
+_HEX_DIGITS = b"0123456789abcdefABCDEF"
 
 
 def leading_bits(data: str | bytes, take: int | None = None) -> tuple[int, int]:
     """The first take bits (all by default) of hex text or raw bytes, as
     (value, take), first bit most significant.  Hex text is stripped of
-    surrounding whitespace and must then be bare digits: no sign, prefix or
-    separator."""
+    surrounding whitespace and must then be bare digits, checked by one pass
+    deleting them: no sign, prefix or separator."""
     if isinstance(data, str):
         text = data.strip()
-        if not text or text.strip(hexdigits):
+        if not (text and text.isascii()) or text.encode().translate(None, _HEX_DIGITS):
             raise ParseError(f"not a hex string: {data!r}")
         value, total = int(text, 16), 4 * len(text)
     else:
@@ -51,22 +50,19 @@ def leading_bits(data: str | bytes, take: int | None = None) -> tuple[int, int]:
     return value >> (total - take), take
 
 
-@dataclass(frozen=True)
-class BitString:
+class BitString(namedtuple("BitString", "value n")):
     """An n-bit message held as one int; the first bit is the most significant."""
 
-    value: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n % 2:
-            raise OddLengthError(f"bit length {self.n} is odd")
-        if not MIN_BITS <= self.n <= MAX_BITS:
-            raise LengthMismatchError(
-                f"bit length {self.n} outside [{MIN_BITS}, {MAX_BITS}]"
-            )
-        if self.value < 0 or self.value >> self.n:
-            raise DomainError(f"{self.value} does not fit in {self.n} bits")
+    def __new__(cls, value: int, n: int):
+        if n % 2:
+            raise OddLengthError(f"bit length {n} is odd")
+        if not MIN_BITS <= n <= MAX_BITS:
+            raise LengthMismatchError(f"bit length {n} outside [{MIN_BITS}, {MAX_BITS}]")
+        if value < 0 or value >> n:
+            raise DomainError(f"{value} does not fit in {n} bits")
+        return tuple.__new__(cls, (value, n))
 
     @classmethod
     def from_int(cls, value: int, n: int) -> "BitString":
@@ -91,8 +87,7 @@ class BitString:
         return self.n
 
 
-@dataclass(frozen=True, init=False)
-class ShadowString:
+class ShadowString(namedtuple("ShadowString", "n groups")):
     """Shadow or long-shadow counts of a nonzero n-bit string.
 
     groups maps each nonzero count to the ascending positions holding it;
@@ -101,10 +96,9 @@ class ShadowString:
     each doubled entry once more.  Equality and hash go by the entries.
     """
 
-    n: int
-    groups: dict[int, list[int]]
+    __slots__ = ()
 
-    def __init__(self, values):
+    def __new__(cls, values):
         groups = defaultdict(list)
         for i, v in enumerate(values):
             if v:
@@ -114,7 +108,7 @@ class ShadowString:
             raise DomainError("shadow entries must lie in [0, n]")
         if not n <= sum(v * len(ps) for v, ps in groups.items()) <= 2 * n:
             raise DomainError(f"shadow entries must sum into [{n}, {2 * n}]")
-        self.__dict__.update(n=n, groups=dict(groups))
+        return tuple.__new__(cls, (n, dict(groups)))
 
     @property
     def values(self) -> tuple[int, ...]:
@@ -160,16 +154,12 @@ def _encode(bits: str, partners) -> ShadowString:
     for size, partner in zip(map(len, runs[1:-1]), partners):
         i += size + 1
         groups[(size + 1) << partner].append(i)
-    out = object.__new__(ShadowString)  # valid by construction: no checks
-    out.__dict__.update(n=len(bits), groups=dict(groups))
-    return out
+    return tuple.__new__(ShadowString, (len(bits), dict(groups)))  # valid by construction
 
 
 def _drawn(value: int, n: int) -> BitString:
     """BitString(value, n) unchecked, for a nonzero n-bit draw at a PublicParams n."""
-    out = object.__new__(BitString)
-    out.__dict__.update(value=value, n=n)
-    return out
+    return tuple.__new__(BitString, (value, n))
 
 
 def bit_shadow(msg: BitString) -> ShadowString:

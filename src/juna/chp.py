@@ -9,7 +9,7 @@ multiplicative hash's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import isqrt
 
@@ -18,19 +18,17 @@ from .numtheory import ModContext, find_safe_prime, multiplicative_order_safe
 from .params import MAX_M, MAX_N, _end, _expect_int
 
 
-@dataclass(frozen=True)
-class ChpParams:
-    p: int
-    alpha: int
-    beta: int
+class ChpParams(namedtuple("ChpParams", "p alpha beta")):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, p: int, alpha: int, beta: int):
         # one representative per residue: 5 and 28 mod 23 are one generator
-        for name, g in (("alpha", self.alpha), ("beta", self.beta)):
-            if not 1 < g < self.p - 1:
+        for name, g in (("alpha", alpha), ("beta", beta)):
+            if not 1 < g < p - 1:
                 raise DomainError(f"{name} must lie in (1, p - 1)")
-        if self.alpha == self.beta:
+        if alpha == beta:
             raise DomainError("generators must differ")
+        return tuple.__new__(cls, (p, alpha, beta))
 
     @property
     def q(self) -> int:

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import secrets
 import sys
 import time
 
-from . import attacks, chp, compress, params, reform
+from . import compress, params
 from .bitcodec import MAX_BITS, BitString, leading_bits, pad_to_length
 from .errors import DomainError, JunaError, ParseError, SearchExhaustedError
 
@@ -34,7 +33,11 @@ def _echo(key, value):
 
 
 def _resolve_seed(args) -> int:
-    seed = args.seed if args.seed is not None else secrets.randbits(64)
+    seed = args.seed
+    if seed is None:
+        import secrets
+
+        seed = secrets.randbits(64)
     _echo("seed", seed)
     return seed
 
@@ -123,6 +126,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_chp_setup(args) -> int:
+    from . import chp
+
     chp.check_setup_bits(args.bits)
     seed = _resolve_seed(args)
     import random
@@ -142,6 +147,8 @@ def cmd_chp_setup(args) -> int:
 
 
 def cmd_chp_hash(args) -> int:
+    from . import chp
+
     cp = chp.parse_chp(params.read_ascii(args.params, chp.MAX_FILE_BYTES).decode("ascii"))
     if not chp.validate_chp(cp):
         raise DomainError("p is not a safe prime, or alpha or beta does not generate its group")
@@ -151,6 +158,8 @@ def cmd_chp_hash(args) -> int:
 
 
 def cmd_chp_compare(args) -> int:
+    from . import chp
+
     table = chp.compare_costs(args.m, args.n, args.lgp)
     _echo("chp_bit_ops", table["chp_bit_ops"])
     _echo("juna_bit_ops", table["juna_bit_ops"])
@@ -162,6 +171,8 @@ def cmd_chp_compare(args) -> int:
 
 
 def cmd_reform(args) -> int:
+    from . import reform
+
     profile = reform.ReformProfile(_load(args.profile))
     n = profile.underlying_bits
     expected = (n + 3) // 4
@@ -178,6 +189,8 @@ def cmd_reform(args) -> int:
 
 
 def cmd_attack_mitm(args) -> int:
+    from . import attacks
+
     inst = attacks.parse_instance(
         params.read_ascii(args.instance, attacks.MAX_INSTANCE_BYTES).decode("ascii"))
     bits = attacks.mitm_subset_sum(inst)
@@ -189,6 +202,8 @@ def cmd_attack_mitm(args) -> int:
 
 
 def cmd_attack_birthday(args) -> int:
+    from . import attacks
+
     pub = _load(args.pub)
     attacks.check_birthday(pub, args.mask_bits, args.budget)
     seed = _resolve_seed(args)
@@ -222,6 +237,8 @@ def cmd_attack_birthday(args) -> int:
 
 
 def cmd_attack_brute(args) -> int:
+    from . import attacks
+
     pub = _load(args.pub)
     priv = _load(args.priv, private=True) if args.priv else None
     pairs = attacks.brute_force_collision(pub)

@@ -8,7 +8,7 @@ shadow, so positions with a zero long shadow cost nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .bitcodec import BitString, bit_long_shadow
 from .errors import DomainError, LengthMismatchError
@@ -16,18 +16,17 @@ from .numtheory import ModContext
 from .params import PublicParams
 
 
-@dataclass(frozen=True)
-class Digest:
+class Digest(namedtuple("Digest", "value m")):
     """An integer in [1, M-1], rendered as fixed-width lowercase hex."""
 
-    value: int
-    m: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.value < 1:
+    def __new__(cls, value: int, m: int):
+        if value < 1:
             raise DomainError("digest value must be positive")
-        if self.value >> self.m:
-            raise DomainError(f"digest value does not fit in {self.m} bits")
+        if value >> m:
+            raise DomainError(f"digest value does not fit in {m} bits")
+        return tuple.__new__(cls, (value, m))
 
     @property
     def hex(self) -> str:

@@ -8,12 +8,11 @@ and products with shadow exponents, injective.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from bisect import bisect_right
+from collections.abc import Sequence
 from itertools import compress, islice, repeat
 from math import gcd, prod
 from operator import mod, not_
-from typing import Sequence
 
 from .errors import (
     DomainError,
@@ -23,36 +22,34 @@ from .errors import (
 from .numtheory import _WORD_PRIMORIAL, _sieve, is_probable_prime
 
 
-@dataclass(frozen=True)
-class CoprimeSequence:
-    """Ordered, pairwise-distinct positive integers >= 2.
+class CoprimeSequence(tuple):
+    """Ordered, pairwise-distinct positive integers >= 2: a tuple of them.
 
     Admissibility is checked by verify(), not by the constructor, so
     tests can build deliberately bad sequences.
     """
 
-    elements: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.elements:
+    def __new__(cls, elements: tuple[int, ...]):
+        if not elements:
             raise DomainError("empty sequence")
-        if any(a < 2 for a in self.elements):
+        if any(a < 2 for a in elements):
             raise DomainError("elements must be >= 2")
-        if len(set(self.elements)) != len(self.elements):
+        if len(set(elements)) != len(elements):
             raise DomainError("elements must be pairwise distinct")
+        return tuple.__new__(cls, elements)
+
+    @property
+    def elements(self) -> tuple[int, ...]:
+        return tuple(self)
 
     @property
     def n(self) -> int:
-        return len(self.elements)
+        return len(self)
 
-    def __len__(self):
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __getitem__(self, i):
-        return self.elements[i]
+    def __repr__(self):
+        return f"CoprimeSequence(elements={tuple(self)!r})"
 
 
 # Work after which the pair scan of first_violation gives up: one unit per

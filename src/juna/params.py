@@ -15,8 +15,7 @@ import functools
 import math
 import operator
 import os
-import secrets
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import coprime
 from ._procs import Forked, part_count
@@ -50,26 +49,24 @@ MAX_NBAR = 1 << 32
 MAX_REDRAWS = 64
 
 
-@dataclass(frozen=True)
-class PublicParams:
-    """Everything the compressor needs: modulus, widths, initial values."""
+class PublicParams(namedtuple("PublicParams", "m n M C")):
+    """Everything the compressor needs: modulus, widths, initial values.
 
-    m: int
-    n: int
-    M: int
-    C: tuple[int, ...]
+    The one record with an instance __dict__, which caches context(); its
+    fields are read-only all the same."""
 
-    def __post_init__(self):
-        if self.n % 2 or self.n < TEST_MIN_N or self.n > MAX_N:
-            raise DomainError(f"n = {self.n} is not an even length in range")
-        if len(self.C) != self.n:
-            raise DomainError(f"expected {self.n} initial values, got {len(self.C)}")
-        if self.m > MAX_M:
-            raise DomainError(f"m = {self.m} exceeds {MAX_M}")
-        if self.M < 3:
+    def __new__(cls, m: int, n: int, M: int, C: tuple[int, ...]):
+        if n % 2 or n < TEST_MIN_N or n > MAX_N:
+            raise DomainError(f"n = {n} is not an even length in range")
+        if len(C) != n:
+            raise DomainError(f"expected {n} initial values, got {len(C)}")
+        if m > MAX_M:
+            raise DomainError(f"m = {m} exceeds {MAX_M}")
+        if M < 3:
             raise DomainError("modulus too small")
-        if ceil_lg(self.M) > self.m:
-            raise DomainError(f"modulus needs {ceil_lg(self.M)} bits, m = {self.m}")
+        if ceil_lg(M) > m:
+            raise DomainError(f"modulus needs {ceil_lg(M)} bits, m = {m}")
+        return tuple.__new__(cls, (m, n, M, C))
 
     def context(self) -> ModContext:
         """Shared counting context for this modulus (created lazily)."""
@@ -80,27 +77,20 @@ class PublicParams:
         return ctx
 
 
-@dataclass(frozen=True)
-class PrivateParams:
+class PrivateParams(namedtuple("PrivateParams", "m n M P nbar W delta A ell")):
     """Generation-time secrets; discardable, never to be published."""
 
-    m: int
-    n: int
-    M: int
-    P: int
-    nbar: int
-    W: int
-    delta: int
-    A: coprime.CoprimeSequence
-    ell: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.A) != self.n or len(self.ell) != self.n:
+    def __new__(cls, m: int, n: int, M: int, P: int, nbar: int, W: int, delta: int,
+                A: coprime.CoprimeSequence, ell: tuple[int, ...]):
+        if len(A) != n or len(ell) != n:
             raise DomainError("basis and exponent table must have n entries")
-        if self.nbar < 1:
+        if nbar < 1:
             raise DomainError("nbar must be positive")
-        if self.P < 1:
+        if P < 1:
             raise DomainError("P must be positive")
+        return tuple.__new__(cls, (m, n, M, P, nbar, W, delta, A, ell))
 
 
 def omega_magnitudes(nbar: int) -> range:
@@ -239,17 +229,14 @@ def initialize(
     return pub, priv
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    ok: bool
-    detail: str = ""
-    informative: bool = False
+class CheckResult(namedtuple("CheckResult", "name ok detail informative", defaults=("", False))):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    checks: tuple[CheckResult, ...]
+class ValidationReport(namedtuple("ValidationReport", "checks")):
+    """checks is a tuple of CheckResult."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -352,6 +339,8 @@ def _initial_values_consistent(ctx, pub, priv) -> tuple[bool, str]:
     times; it passes wrong initial values with probability at most
     2**-BATCH_BITS.  Otherwise the values are recomputed exactly.
     """
+    import secrets
+
     M, q = ctx.M, ctx.q
     in_group = (
         len(pub.C) == len(priv.A)
@@ -464,8 +453,7 @@ def validate(pub: PublicParams, priv: PrivateParams | None = None) -> Validation
     return ValidationReport(tuple(checks))
 
 
-@dataclass(frozen=True)
-class CollisionCertificate:
+class CollisionCertificate(namedtuple("CollisionCertificate", "k kprime kappa psi lhs rhs holds")):
     """Private-side witness that two messages collide (or do not).
 
     k and kprime are the exact signed exponent sums of the two long
@@ -476,13 +464,7 @@ class CollisionCertificate:
     the published collision relation, recorded when it exists.
     """
 
-    k: int
-    kprime: int
-    kappa: int | None
-    psi: int | None
-    lhs: int
-    rhs: int
-    holds: bool
+    __slots__ = ()
 
 
 def certify_collision(

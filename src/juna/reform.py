@@ -10,22 +10,20 @@ underlying hash itself is external input here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import compress, params
 from .bitcodec import BitString
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
-class ReformProfile:
-    pub: params.PublicParams
+class ReformProfile(namedtuple("ReformProfile", "pub")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.pub.n != 2 * self.pub.m:
-            raise DomainError(
-                f"profile needs m = n/2, got m={self.pub.m}, n={self.pub.n}"
-            )
+    def __new__(cls, pub: params.PublicParams):
+        if pub.n != 2 * pub.m:
+            raise DomainError(f"profile needs m = n/2, got m={pub.m}, n={pub.n}")
+        return tuple.__new__(cls, (pub,))
 
     @property
     def underlying_bits(self) -> int:

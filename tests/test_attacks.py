@@ -354,11 +354,7 @@ def test_brute_force_collision_identity(toy_pub):
 def test_brute_force_collision_empty_at_wide_modulus(reference_pub):
     # 255 eight-bit messages cannot collide in an 80-bit range; build a
     # narrow view by reusing the first 8 reference values
-    import dataclasses
-
-    small = dataclasses.replace(
-        reference_pub, n=8, C=reference_pub.C[:8]
-    )
+    small = reference_pub._replace(n=8, C=reference_pub.C[:8])
     assert brute_force_collision(small) == []
 
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from juna.attacks import BirthdayStats, CollisionPair, SubsetSumInstance
 from juna.bitcodec import (
     MAX_BITS,
     MIN_BITS,
@@ -15,6 +16,9 @@ from juna.bitcodec import (
     pad_to_length,
     recover_bits,
 )
+from juna.chp import ChpParams
+from juna.compress import Digest
+from juna.coprime import CoprimeSequence
 from juna.errors import (
     DomainError,
     InconsistentEncodingError,
@@ -24,6 +28,8 @@ from juna.errors import (
     ParseError,
     ZeroMessageError,
 )
+from juna.params import CheckResult, CollisionCertificate, PrivateParams, PublicParams, ValidationReport
+from juna.reform import ReformProfile
 
 from shadow_oracle import bit_shadow_streaming, dense_long_shadows, dense_shadows
 
@@ -360,3 +366,28 @@ def test_shadow_string_is_immutable():
         with pytest.raises(AttributeError):
             del sh.n
         assert sh.values == before
+        assert len(sh) == 8
+    # every record is a tuple of its fields, read-only; only PublicParams
+    # takes new attributes, for its context() cache
+    pub = PublicParams(m=4, n=8, M=11, C=(2, 3, 4, 5, 6, 7, 8, 9))
+    A = CoprimeSequence((2, 3, 5, 7, 11, 13, 17, 19))
+    records = [
+        BitString(5, 8), Digest(5, 8), pub, A,
+        PrivateParams(m=4, n=8, M=11, P=19, nbar=8, W=2, delta=3, A=A, ell=tuple(range(5, 21, 2))),
+        CheckResult("x", True), ValidationReport((CheckResult("x", True),)),
+        CollisionCertificate(k=1, kprime=1, kappa=None, psi=None, lhs=1, rhs=1, holds=True),
+        SubsetSumInstance(c=(1, 2), s=3),
+        BirthdayStats(trials=1, collision=None, threshold=1.0, seed=1, mask_bits=1),
+        CollisionPair(msg1=BitString(5, 8), msg2=BitString(6, 8), digest_value=1, ydiff=(0,) * 8,
+                      product_is_one=True),
+        ChpParams(p=23, alpha=5, beta=7), ReformProfile(pub),
+    ]
+    for record in records:
+        fields = getattr(record, "_fields", ("elements", "n"))
+        for name in fields + (() if record is pub else ("other",)):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(record, fields[0])
+    assert repr(BitString(5, 8)) == "BitString(value=5, n=8)"
+    assert len(BitString(5, 8)) == 8

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import hashlib
 import io
 import os
@@ -528,6 +527,32 @@ def test_birthday_search_output_is_pinned():
     assert hashlib.sha256(proc.stdout).hexdigest() == BIRTHDAY_20_SHA256
 
 
+# What hash and validate never run, or load only through what they never run
+UNUSED_BY_HASH = {"dataclasses", "inspect", "typing", "secrets", "fractions",
+                  "juna.attacks", "juna.chp", "juna.reform"}
+
+
+@pytest.mark.parametrize("command", ["hash", "validate"])
+def test_hash_and_validate_processes_load_only_what_they_run(command):
+    # -S keeps out what a site hook preloads; -X importtime lists every
+    # module the process imported itself, one per stderr line
+    bundled = Path(params.__file__).parent / "data" / "m80_n256.pub"
+    argv = [command, "--pub", str(bundled)]
+    if command == "hash":
+        argv += ["--msg-hex", "a5" * 32, "--bits", "256"]
+    env = dict(os.environ, PYTHONPATH=str(Path(params.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-X", "importtime", "-m", "juna.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+    assert "juna.params" in imported
+    assert sorted(imported & UNUSED_BY_HASH) == []
+    if command == "hash":
+        assert proc.stdout == "digest=468e432aca166325f4cb\nmulcount=132\npadded=false\n"
+
+
 # stdout of chp setup at 512 bits, where the Lucas half of Baillie-PSW
 # decides each candidate q, and of a chp hash on the file it writes
 CHP_512_SHA256 = "be90e779e7b6590df27c9cfa1596fe07a802d07c9f5ad76df1f69276d6eb981f"
@@ -604,7 +629,7 @@ def test_validate_priv_with_blinder_zero_mod_m_reports_every_check(
     names = [line.split()[1] for line in capsys.readouterr().out.splitlines()]
     priv = load(priv_path)
     bad = tmp_path / "w.priv"
-    save(dataclasses.replace(priv, W=multiple * priv.M), bad)
+    save(priv._replace(W=multiple * priv.M), bad)
     assert main(["validate", "--pub", pub_path, "--priv", str(bad)]) == 2
     out = capsys.readouterr()
     assert out.err == ""
@@ -631,7 +656,7 @@ def test_validate_priv_with_basis_above_prime_bound(toy_files, tmp_path, capsys)
     pub_path, priv_path = toy_files
     priv = load(priv_path)
     bad = tmp_path / "low.priv"
-    save(dataclasses.replace(priv, P=max(priv.A) - 1), bad)
+    save(priv._replace(P=max(priv.A) - 1), bad)
     assert main(["validate", "--pub", pub_path, "--priv", str(bad)]) == 2
     out = capsys.readouterr()
     assert out.err == ""

@@ -113,6 +113,17 @@ def test_mulcount_adversarial_messages(reference_pub, wide_pub):
             assert used <= 2 * pub.n, (pub.n, i)
 
 
+@pytest.mark.parametrize("n", [256, 4096])
+def test_worst_case_witnesses_cost_n_plus_1(n):
+    # the count depends only on the long shadows, so any residues serve
+    pub = PublicParams(m=5, n=n, M=23, C=(2,) * n)
+    ctx = pub.context()
+    for text in ("0000101" + "1" * (n - 7), "1" * (n - 1) + "0"):
+        before = ctx.mulcount
+        digest(pub, BitString.from_string(text), ctx)
+        assert ctx.mulcount - before == n + 1, text[:8]
+
+
 def test_digest_exhaustive_at_toy_scale():
     for n in range(4, 15, 2):
         pub, _ = initialize(m=12, n=n, P=1201, nbar=n, rng=random.Random(n))

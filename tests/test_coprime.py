@@ -177,6 +177,15 @@ def test_constructor_rejects_duplicates_and_small():
         CoprimeSequence((1, 2, 3))
 
 
+def test_sequence_reads_as_its_elements():
+    seq = CoprimeSequence((2, 3, 5, 7))
+    assert 5 in seq and 4 not in seq and (2, 3, 5, 7) not in seq
+    assert len(seq) == seq.n == 4
+    assert list(seq) == [2, 3, 5, 7] and seq.elements == (2, 3, 5, 7)
+    assert seq[1] == 3 and seq[-1] == 7 and seq[1:3] == (3, 5)
+    assert repr(seq) == "CoprimeSequence(elements=(2, 3, 5, 7))"
+
+
 def test_subset_product_examples():
     seq = CoprimeSequence((2, 3, 5, 7))
     assert subset_product(seq, (1, 1, 1, 1)) == 210

@@ -1,5 +1,4 @@
 import builtins
-import dataclasses
 import os
 import random
 import threading
@@ -149,13 +148,13 @@ def test_production_floor_accepts_80_96():
 
 
 def test_validate_flags_tampering(toy_pub, toy_priv):
-    tampered = dataclasses.replace(toy_pub, C=(toy_pub.C[1],) + toy_pub.C[1:])
+    tampered = toy_pub._replace(C=(toy_pub.C[1],) + toy_pub.C[1:])
     report = validate(tampered, None)
     assert not report.passed
     failing = {c.name for c in report.checks if not c.ok and not c.informative}
     assert "initial_values_distinct" in failing
 
-    bad_priv = dataclasses.replace(toy_priv, ell=(toy_priv.ell[1],) + toy_priv.ell[1:])
+    bad_priv = toy_priv._replace(ell=(toy_priv.ell[1],) + toy_priv.ell[1:])
     report = validate(toy_pub, bad_priv)
     assert not report.passed
     failing = {c.name for c in report.checks if not c.ok and not c.informative}
@@ -269,7 +268,7 @@ def test_certificate_root_on_real_collisions(toy_pub, toy_priv):
 
 
 def test_certify_rejects_inconsistent_private_side(toy_pub, toy_priv):
-    other = dataclasses.replace(toy_priv, W=toy_priv.W + 1)
+    other = toy_priv._replace(W=toy_priv.W + 1)
     msg = BitString.from_string("01010110")
     with pytest.raises(InconsistentParamsError):
         certify_collision(other, toy_pub, msg, msg)
@@ -685,7 +684,7 @@ def _mutations(pub, priv):
         ("times an element of order q", times_order_q, priv),
         ("negated", negated, priv),
         ("swapped", swapped, priv),
-        ("ell sign flipped", C, dataclasses.replace(priv, ell=tuple(flipped))),
+        ("ell sign flipped", C, priv._replace(ell=tuple(flipped))),
     ]
 
 
@@ -696,7 +695,7 @@ def test_batch_test_catches_each_mutation(fixture, request):
     rng = random.Random(9)
     assert params._initial_values_consistent(ctx, pub, priv)[0]
     for name, C, bad_priv in _mutations(pub, priv):
-        bad_pub = dataclasses.replace(pub, C=tuple(C))
+        bad_pub = pub._replace(C=tuple(C))
         # the full audit, with exponents from secrets
         ok, detail = params._initial_values_consistent(ctx, bad_pub, bad_priv)
         assert not ok and detail.startswith("batch test"), name
@@ -788,13 +787,13 @@ def test_values_outside_the_group_are_recomputed_exactly(toy_pub, toy_priv):
 
 def test_modulus_without_prime_cofactor_keeps_exact_recomputation(toy_priv):
     M = 2069  # prime, and (M - 1)/2 = 1034 is not
-    priv = dataclasses.replace(toy_priv, M=M)
+    priv = toy_priv._replace(M=M)
     ctx = ModContext(M)
     C = params._compute_initial_values(ctx, priv.A, priv.ell, priv.W, priv.delta)
     pub = PublicParams(m=12, n=priv.n, M=M, C=C)
     assert pub.context().q is None
     assert "PASS initial_values_consistent" in validate(pub, priv).lines()
-    bad = dataclasses.replace(pub, C=(C[1], C[0]) + C[2:])
+    bad = pub._replace(C=(C[1], C[0]) + C[2:])
     assert "FAIL initial_values_consistent" in validate(bad, priv).lines()
 
 
@@ -804,7 +803,7 @@ def test_validate_reports_undetermined_pair_scan(toy_priv):
     odd_primes = [p for p in range(3, 1 << 16) if is_probable_prime(p)][:n]
     A = coprime.CoprimeSequence(tuple(2 * p for p in odd_primes))
     ell = tuple(range(5, 5 + 2 * n, 2))
-    priv = dataclasses.replace(toy_priv, n=n, P=1 << 17, nbar=n, A=A, ell=ell)
+    priv = toy_priv._replace(n=n, P=1 << 17, nbar=n, A=A, ell=ell)
     pub = PublicParams(m=12, n=n, M=toy_priv.M, C=tuple(range(2, n + 2)))
     lines = validate(pub, priv).lines()
     (line,) = [l for l in lines if " basis_admissible " in l]
@@ -814,12 +813,12 @@ def test_validate_reports_undetermined_pair_scan(toy_priv):
 def test_batch_test_modulo_5(toy_priv):
     # M = 5, q = 2: the group is cyclic of order 4, and 64 rounds bound the miss
     A = coprime.CoprimeSequence((2, 3, 7, 11))
-    priv = dataclasses.replace(toy_priv, m=3, n=4, M=5, P=11, nbar=4, W=2, delta=3, A=A, ell=(5, -7, 9, 11))
+    priv = toy_priv._replace(m=3, n=4, M=5, P=11, nbar=4, W=2, delta=3, A=A, ell=(5, -7, 9, 11))
     C = params._compute_initial_values(ModContext(5), A, priv.ell, priv.W, priv.delta)
     pub = PublicParams(m=3, n=4, M=5, C=C)
     assert params._initial_values_consistent(pub.context(), pub, priv) == (
         True, "batch test, 64 rounds, miss probability at most 2^-64")
-    negated = dataclasses.replace(pub, C=(5 - C[0],) + C[1:])
+    negated = pub._replace(C=(5 - C[0],) + C[1:])
     for _ in range(20):
         assert not params._initial_values_consistent(pub.context(), negated, priv)[0]
 
@@ -827,7 +826,7 @@ def test_batch_test_modulo_5(toy_priv):
 def test_batch_test_passes_consistent_values_with_even_delta(toy_priv):
     # delta_invertible fails, but the values the private side gives still match:
     # then every C_i is a square, and the Legendre part expects +1 throughout
-    priv = dataclasses.replace(toy_priv, delta=toy_priv.delta + 1)
+    priv = toy_priv._replace(delta=toy_priv.delta + 1)
     ctx = ModContext(priv.M)
     C = params._compute_initial_values(ctx, priv.A, priv.ell, priv.W, priv.delta)
     pub = PublicParams(m=12, n=priv.n, M=priv.M, C=C)

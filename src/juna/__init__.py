@@ -19,16 +19,9 @@ from .bitcodec import (
 from .compress import Digest, digest
 from .coprime import CoprimeSequence
 from .errors import JunaError
+from .keyfile import PrivateParams, PublicParams, bundled_public_params
 from .numtheory import ModContext, ceil_lg, is_probable_prime
-from .params import (
-    CollisionCertificate,
-    PrivateParams,
-    PublicParams,
-    bundled_public_params,
-    certify_collision,
-    initialize,
-    validate,
-)
+from .params import CollisionCertificate, certify_collision, initialize, validate
 
 __all__ = [
     "BitString",

@@ -20,7 +20,7 @@ from .bitcodec import BitString, _drawn, bit_long_shadow
 from .compress import digest
 from .errors import DomainError, InstanceTooLargeError, ParseError
 from ._procs import Forked, part_count
-from .params import PublicParams
+from .keyfile import PublicParams
 
 MITM_CAP = 40
 COLLISION_CAP = 12
@@ -62,7 +62,7 @@ def parse_instance(text: str) -> SubsetSumInstance:
 
     Blank lines and surrounding whitespace are skipped.  Any other line,
     an integer over MAX_INSTANCE_DIGITS ASCII digits or a zero weight
-    raises ParseError.  Files come through params.read_ascii with the
+    raises ParseError.  Files come through keyfile.read_ascii with the
     MAX_INSTANCE_BYTES cap.
     """
     weights = []

@@ -14,8 +14,8 @@ from fractions import Fraction
 from math import isqrt
 
 from .errors import DomainError, ParseError
+from .keyfile import MAX_M, MAX_N, end, expect_int
 from .numtheory import ModContext, find_safe_prime, multiplicative_order_safe
-from .params import MAX_M, MAX_N, _end, _expect_int
 
 
 class ChpParams(namedtuple("ChpParams", "p alpha beta")):
@@ -113,9 +113,9 @@ def parse_chp(text: str) -> ChpParams:
     if lines[-1] == "":
         lines.pop()
     p, alpha, beta = (
-        _expect_int(lines, i, key, MAX_INT_DIGITS) for i, key in enumerate(("p", "alpha", "beta"), 1)
+        expect_int(lines, i, key, MAX_INT_DIGITS) for i, key in enumerate(("p", "alpha", "beta"), 1)
     )
-    _end(lines, 4)
+    end(lines, 4)
     try:
         return ChpParams(p=p, alpha=alpha, beta=beta)
     except DomainError as exc:

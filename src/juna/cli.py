@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 import time
 
-from . import compress, params
+from . import compress, keyfile, params
 from .bitcodec import MAX_BITS, BitString, leading_bits, pad_to_length
 from .errors import DomainError, JunaError, ParseError, SearchExhaustedError
 
@@ -44,8 +45,8 @@ def _resolve_seed(args) -> int:
 
 def _load(path, private: bool = False):
     """The public (or private) parameters in the file at path."""
-    obj = params.load(path)
-    if isinstance(obj, params.PrivateParams) != private:
+    obj = keyfile.load(path)
+    if isinstance(obj, keyfile.PrivateParams) != private:
         raise ParseError(f"{path} does not hold {'private' if private else 'public'} parameters")
     return obj
 
@@ -81,6 +82,8 @@ def cmd_keygen(args) -> int:
         raise DomainError(f"--p-bits must lie in [1, 32], got {args.p_bits}")
     P = 1 << args.p_bits
     params.check_init_constraints(args.m, args.n, P, args.nbar, not args.test_mode, args.budget)
+    if os.path.realpath(args.out_pub) == os.path.realpath(args.out_priv):
+        raise DomainError("--out-pub and --out-priv must name different files")
     seed = _resolve_seed(args)
     import random
 
@@ -94,8 +97,8 @@ def cmd_keygen(args) -> int:
         production=not args.test_mode,
         budget=args.budget,
     )
-    params.save(pub, args.out_pub)
-    params.save(priv, args.out_priv)
+    keyfile.save(pub, args.out_pub)
+    keyfile.save(priv, args.out_priv)
     _echo("m", pub.m)
     _echo("n", pub.n)
     _echo("M", pub.M)
@@ -149,7 +152,7 @@ def cmd_chp_setup(args) -> int:
 def cmd_chp_hash(args) -> int:
     from . import chp
 
-    cp = chp.parse_chp(params.read_ascii(args.params, chp.MAX_FILE_BYTES).decode("ascii"))
+    cp = chp.parse_chp(keyfile.read_ascii(args.params, chp.MAX_FILE_BYTES).decode("ascii"))
     if not chp.validate_chp(cp):
         raise DomainError("p is not a safe prime, or alpha or beta does not generate its group")
     value = chp.chp_hash(cp, args.w1, args.w2)
@@ -192,7 +195,7 @@ def cmd_attack_mitm(args) -> int:
     from . import attacks
 
     inst = attacks.parse_instance(
-        params.read_ascii(args.instance, attacks.MAX_INSTANCE_BYTES).decode("ascii"))
+        keyfile.read_ascii(args.instance, attacks.MAX_INSTANCE_BYTES).decode("ascii"))
     bits = attacks.mitm_subset_sum(inst)
     if bits is None:
         _echo("solution", "none")
@@ -223,8 +226,6 @@ def cmd_attack_birthday(args) -> int:
         _echo("msg2", m2)
         _echo("truncated_value", stats.collision_value)
     if args.csv:
-        import os
-
         new = not os.path.exists(args.csv)
         with open(args.csv, "a", encoding="ascii") as fh:
             if new:

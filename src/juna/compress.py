@@ -12,8 +12,8 @@ from collections import namedtuple
 
 from .bitcodec import BitString, bit_long_shadow
 from .errors import DomainError, LengthMismatchError
+from .keyfile import PublicParams
 from .numtheory import ModContext
-from .params import PublicParams
 
 
 class Digest(namedtuple("Digest", "value m")):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from . import compress, params
+from . import compress, keyfile
 from .bitcodec import BitString
 from .errors import DomainError
 
@@ -20,7 +20,7 @@ from .errors import DomainError
 class ReformProfile(namedtuple("ReformProfile", "pub")):
     __slots__ = ()
 
-    def __new__(cls, pub: params.PublicParams):
+    def __new__(cls, pub: keyfile.PublicParams):
         if pub.n != 2 * pub.m:
             raise DomainError(f"profile needs m = n/2, got m={pub.m}, n={pub.n}")
         return tuple.__new__(cls, (pub,))

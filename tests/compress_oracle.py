@@ -11,7 +11,7 @@ for each exponentiation by formula.
 from juna.bitcodec import BitString, bit_long_shadow
 from juna.compress import Digest
 from juna.errors import LengthMismatchError
-from juna.params import PublicParams
+from juna.keyfile import PublicParams
 
 
 def digest_oracle(pub: PublicParams, msg: BitString) -> Digest:

@@ -7,7 +7,8 @@ import pytest
 
 from juna import numtheory, params
 from juna.cli import main
-from juna.params import PublicParams, bundled_public_params, initialize
+from juna.keyfile import PublicParams, bundled_public_params
+from juna.params import initialize
 
 
 @pytest.fixture(scope="session")

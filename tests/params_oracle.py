@@ -8,7 +8,7 @@ return equal objects and raise the same ParseError, message and line.
 
 from juna import coprime
 from juna.errors import DomainError, ParseError
-from juna.params import (
+from juna.keyfile import (
     MAX_INT_DIGITS,
     PRIV_HEADER,
     PUB_HEADER,

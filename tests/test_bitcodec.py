@@ -28,7 +28,8 @@ from juna.errors import (
     ParseError,
     ZeroMessageError,
 )
-from juna.params import CheckResult, CollisionCertificate, PrivateParams, PublicParams, ValidationReport
+from juna.keyfile import PrivateParams, PublicParams
+from juna.params import CheckResult, CollisionCertificate, ValidationReport
 from juna.reform import ReformProfile
 
 from shadow_oracle import bit_shadow_streaming, dense_long_shadows, dense_shadows

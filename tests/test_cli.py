@@ -16,7 +16,8 @@ from juna.attacks import MAX_INSTANCE_BYTES
 from juna.bitcodec import BitString
 from juna.cli import main
 from juna.compress import digest
-from juna.params import bundled_public_params, initialize, load, save
+from juna.keyfile import bundled_public_params, load, save
+from juna.params import initialize
 
 from conftest import KEYGEN_4096
 
@@ -107,6 +108,7 @@ _KEYGEN = ["keygen", "--n", "8", "--p-bits", "10",
         ["attack", "birthday", "--mask-bits", "81", "--budget", "5", "--seed", "1"],
         ["attack", "birthday", "--mask-bits", "8", "--budget", "0", "--seed", "1"],
         ["attack", "birthday", "--mask-bits", "8", "--budget", "5", "--pub", "missing.pub"],
+        _KEYGEN + ["--m", "12", "--nbar", "8", "--test-mode", "--out-priv", "./never.pub"],
     ],
 )
 def test_out_of_range_options_are_refused_before_any_output(argv, pub_file, tmp_path, capsys, monkeypatch):
@@ -147,7 +149,7 @@ def test_hash_pad_flag(toy_files, capsys):
     vals = grab(capsys)
     assert vals["padded"] == "true"
     # padding is 1-then-zeros
-    from juna.params import load
+    from juna.keyfile import load
 
     pub = load(pub_path)
     expect = digest(pub, BitString.from_string("10110000")).hex
@@ -161,7 +163,7 @@ def test_hash_msg_file(toy_files, tmp_path, capsys):
     rc = main(["hash", "--pub", pub_path, "--msg-file", str(msg)])
     assert rc == 0
     vals = grab(capsys)
-    from juna.params import load
+    from juna.keyfile import load
 
     pub = load(pub_path)
     assert vals["digest"] == digest(pub, BitString.from_string("01010110")).hex
@@ -189,7 +191,7 @@ def test_hash_msg_file_reads_only_the_bits_asked_for(toy_files, tmp_path, capsys
     msg.write_bytes(b"\x56" + b"\xff" * ((1 << 20) - 1))
     rc = main(["hash", "--pub", pub_path, "--msg-file", str(msg), "--bits", "8"])
     assert rc == 0
-    from juna.params import load
+    from juna.keyfile import load
 
     pub = load(pub_path)
     assert grab(capsys)["digest"] == digest(pub, BitString.from_string("01010110")).hex
@@ -210,7 +212,7 @@ def test_hash_pad_after_decoding_hex(toy_files, capsys):
     assert rc == 0
     vals = grab(capsys)
     assert vals["padded"] == "true"
-    from juna.params import load
+    from juna.keyfile import load
 
     pub = load(pub_path)
     assert vals["digest"] == digest(pub, BitString.from_string("10110000")).hex

@@ -10,7 +10,8 @@ from juna.errors import (
     LengthMismatchError,
     ZeroMessageError,
 )
-from juna.params import PublicParams, initialize
+from juna.keyfile import PublicParams
+from juna.params import initialize
 
 from compress_oracle import digest_oracle
 

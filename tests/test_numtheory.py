@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from juna import numtheory, params
+from juna import keyfile, numtheory
 from juna.chp import _generates
 from juna.errors import (
     CompositeSafeFormError,
@@ -144,7 +144,7 @@ def test_strong_lucas_is_the_recurrence_at_64_to_232_bits(keygen_4096):
     # widths keygen tests.  Factoring these n is out of reach, so P comes
     # from juna's Jacobi symbol.
     rng = random.Random(64232)
-    odd, fermat = [], [(params.load(keygen_4096[1]).M - 1) // 2]  # seed-4096 cofactor
+    odd, fermat = [], [(keyfile.load(keygen_4096[1]).M - 1) // 2]  # seed-4096 cofactor
     while len(fermat) < 41:
         bits = rng.randrange(64, 233)
         n = rng.getrandbits(bits) | 1 << (bits - 1) | 1

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from juna import coprime, params
+from juna import coprime, keyfile, params
 from juna.bitcodec import BitString
 from juna.compress import digest
 from juna.errors import (
@@ -19,24 +19,27 @@ from juna.errors import (
     ParseError,
     SearchExhaustedError,
 )
-from juna.numtheory import ModContext, ceil_lg, is_probable_prime
-from juna.params import (
+from juna.keyfile import (
     MAX_FILE_BYTES,
     MAX_INT_DIGITS,
+    MAX_M,
     MAX_N,
     PRIV_HEADER,
     PUB_HEADER,
     PrivateParams,
     PublicParams,
     bundled_public_params,
+    load,
+    parse,
+    serialize,
+)
+from juna.numtheory import ModContext, ceil_lg, is_probable_prime
+from juna.params import (
     capacity_report,
     certify_collision,
     initialize,
-    load,
     omega_magnitudes,
-    parse,
     sample_omega,
-    serialize,
     validate,
 )
 
@@ -220,6 +223,31 @@ def test_public_params_reject_modulus_wider_than_m():
         parse(serialize(PublicParams(m=7, n=4, M=101, C=(2, 3, 5, 7))).replace("m=7", "m=6"))
 
 
+@pytest.mark.parametrize(
+    "m, n, M, message",
+    [
+        (12, 5, 2447, "n = 5 is not an even length in range"),
+        (12, 2, 2447, "n = 2 is not an even length in range"),
+        (12, MAX_N + 2, 2447, f"n = {MAX_N + 2} is not an even length in range"),
+        (MAX_M + 1, 8, 2447, f"m = {MAX_M + 1} exceeds {MAX_M}"),
+        (12, 8, 2, "modulus too small"),
+        (11, 8, 2447, "modulus needs 12 bits, m = 11"),
+    ],
+)
+def test_private_file_meets_the_public_header_checks(m, n, M, message):
+    head = f"m={m}\nn={n}\nM={M}\n"
+    pub = f"{PUB_HEADER}\n{head}" + "".join(f"C={c}\n" for c in range(2, n + 2))
+    priv = (f"{PRIV_HEADER}\n{head}P=1024\nnbar={n}\nW=2\ndelta=3\n"
+            + "".join(f"A={a}\n" for a in range(2, n + 2))
+            + "".join(f"L={2 * i + 5}\n" for i in range(n)))
+    for text in (pub, priv):
+        for parser in (parse, parse_line_by_line):
+            with pytest.raises(ParseError) as err:
+                parser(text)
+            assert str(err.value) == message, (text.partition("\n")[0], parser)
+            assert err.value.line is None
+
+
 def test_parse_error_carries_line_number():
     text = f"{PUB_HEADER}\nm=7\nn=four\n"
     with pytest.raises(ParseError) as err:
@@ -387,7 +415,7 @@ def test_load_reads_one_byte_past_the_cap_at_most(tmp_path, monkeypatch):
             got.append(len(data))
             return data
 
-    monkeypatch.setattr(params, "open", Counting, raising=False)
+    monkeypatch.setattr(keyfile, "open", Counting, raising=False)
     with pytest.raises(ParseError, match="over"):
         load(path)
     assert got == [MAX_FILE_BYTES + 1]
@@ -411,7 +439,7 @@ def test_load_asks_for_the_file_size_plus_one_byte(keygen_4096, monkeypatch):
             asked.append(size)
             return self.fh.read(size)
 
-    monkeypatch.setattr(params, "open", Counting, raising=False)
+    monkeypatch.setattr(keyfile, "open", Counting, raising=False)
     loaded = load(pub)
     monkeypatch.undo()
     assert loaded == load(pub)
@@ -879,9 +907,9 @@ def test_forked_parts_give_the_serial_values_and_count(values_232, failure, monk
     monkeypatch.setattr(params, "_initial_values_part", part)
     monkeypatch.setattr(params, "part_count", lambda work, least: 3)
     if failure == "fork-refused":
-        monkeypatch.setattr(params.os, "fork", refused)
+        monkeypatch.setattr(os, "fork", refused)
     if failure == "pin-refused":
-        monkeypatch.setattr(params.os, "sched_setaffinity", refused, raising=False)
+        monkeypatch.setattr(os, "sched_setaffinity", refused, raising=False)
     ctx = ModContext(M232)
     assert params._compute_initial_values(ctx, *args) == C
     assert ctx.mulcount == mulcount

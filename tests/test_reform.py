@@ -5,7 +5,8 @@ import pytest
 from juna.bitcodec import BitString
 from juna.compress import digest
 from juna.errors import DomainError, LengthMismatchError, ZeroMessageError
-from juna.params import initialize, load, save
+from juna.keyfile import load, save
+from juna.params import initialize
 from juna.reform import ReformProfile, reform_digest
 
 

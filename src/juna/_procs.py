@@ -1,6 +1,6 @@
 """Forked children that send ints back through pipes, each int as one
-fixed-width big-endian record: the one module of the package that forks,
-pins a CPU or knows the pipe record format."""
+fixed-width big-endian record: the one module of the package that forks or
+knows the pipe record format."""
 
 from __future__ import annotations
 
@@ -19,28 +19,13 @@ def part_count(work: int, least: int) -> int:
     return max(1, min(cpus or 1, work // least))
 
 
-def pin(cpu: int | None) -> bool:
-    """Keep this thread on `cpu`, if one is given and the system allows it;
-    whether it did."""
-    if cpu is None:
-        return False
-    try:
-        os.sched_setaffinity(0, {cpu})
-    except OSError:
-        return False
-    return True
-
-
 class Forked:
     """Forked children that each write the ints of one producer (it yields
     lists of them) to a pipe while this process reads them, a count at a time.
 
     Used as a context manager around the work of this process.  Entering
-    starts one child per producer; where the system allows it (Linux) this
-    process is held on the first usable CPU and child j on the next, since a
-    new child can share its parent's CPU for hundreds of milliseconds before
-    the scheduler moves it (seen on a 2-vCPU VM).  Leaving kills and reaps
-    every child and restores this process's CPU set, on every exit path.
+    starts one child per producer, and the kernel places each; no CPU set is
+    read or changed.  Leaving kills and reaps every child, on every exit path.
     A child leaves by os._exit, so it never returns into the caller, runs no
     atexit handler and flushes none of the parent's buffers.
     """
@@ -49,33 +34,23 @@ class Forked:
         self.producers = producers
         self.width = width
         self.children: list[tuple[int, io.BufferedReader] | None] = []
-        self.saved: set[int] = set()
 
     def __enter__(self):
         try:
-            if self.producers and hasattr(os, "sched_setaffinity"):
-                self.saved = os.sched_getaffinity(0)
-            cpus = sorted(self.saved) or [None]
-            if not pin(cpus[0]):
-                self.saved = set()
-            for j, produce in enumerate(self.producers, 1):
-                self.children.append(self._start(cpus[j % len(cpus)], produce))
+            for produce in self.producers:
+                self.children.append(self._start(produce))
         except BaseException:
             self.__exit__()
             raise
         return self
 
     def __exit__(self, *exc_info):
-        try:
-            for j in range(len(self.children)):
-                self._reap(j)
-        finally:
-            if self.saved:
-                os.sched_setaffinity(0, self.saved)
+        for j in range(len(self.children)):
+            self._reap(j)
 
-    def _start(self, cpu, produce) -> tuple[int, io.BufferedReader] | None:
-        """(pid, read end) of a child on `cpu` writing the records of
-        produce() to a pipe, or None if it cannot be started."""
+    def _start(self, produce) -> tuple[int, io.BufferedReader] | None:
+        """(pid, read end) of a child writing the records of produce() to a
+        pipe, or None if it cannot be started."""
         try:
             r, w = os.pipe()
         except OSError:
@@ -89,7 +64,6 @@ class Forked:
         if pid == 0:
             try:
                 os.close(r)
-                pin(cpu)
                 for values in produce():
                     data = b"".join(v.to_bytes(self.width, "big") for v in values)
                     done = 0

@@ -97,8 +97,10 @@ def cmd_keygen(args) -> int:
         production=not args.test_mode,
         budget=args.budget,
     )
-    keyfile.save(pub, args.out_pub)
+    # the private file first: it can regenerate a lost public side, but a
+    # public file without its private side can never be used to sign
     keyfile.save(priv, args.out_priv)
+    keyfile.save(pub, args.out_pub)
     _echo("m", pub.m)
     _echo("n", pub.n)
     _echo("M", pub.M)

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import os
 import random
 import sys
 
@@ -60,6 +61,22 @@ def tested(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("juna") and getattr(module, "is_probable_prime", None) is real:
             monkeypatch.setattr(module, "is_probable_prime", counting)
+    return calls
+
+
+@pytest.fixture
+def setaffinity_calls(monkeypatch):
+    """The os.sched_setaffinity calls this process makes during the test;
+    each is still made, so a changed CPU set shows as well."""
+    calls = []
+    real = getattr(os, "sched_setaffinity", None)
+
+    def recording(pid, cpus):
+        calls.append((pid, set(cpus)))
+        if real is not None:
+            real(pid, cpus)
+
+    monkeypatch.setattr(os, "sched_setaffinity", recording, raising=False)
     return calls
 
 

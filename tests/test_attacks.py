@@ -192,13 +192,13 @@ def _affinity():
 def _assert_left_clean(before):
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)  # every child was reaped
-    assert _process_state() == before  # no pipe left open, the CPU set back
+    assert _process_state() == before  # no pipe left open, the CPU set unchanged
 
 
 @pytest.fixture
 def forks(monkeypatch):
     """The os.fork calls this process makes during the test, after which
-    no child, pipe or CPU pinning may be left."""
+    no child, pipe or changed CPU set may be left."""
     calls = []
     real, parent = os.fork, os.getpid()
 
@@ -276,15 +276,17 @@ def test_search_forks_only_from_two_processes_worth_of_work(
 
 
 @pytest.mark.parametrize("end", ["collision", "budget", "error"])
-def test_every_search_exit_reaps_its_children(reference_pub, workers, forks, monkeypatch, end):
+def test_every_search_exit_reaps_its_children(
+    reference_pub, workers, forks, monkeypatch, setaffinity_calls, end
+):
     workers(3)
     before = _process_state()
-    parent, real, pinned = os.getpid(), attacks.digest, []
+    parent, real, seen = os.getpid(), attacks.digest, []
 
     def watched(pub, msg, ctx=None):
         if os.getpid() == parent:
-            pinned.append(_affinity())
-            if end == "error" and len(pinned) > 100:
+            seen.append(_affinity())
+            if end == "error" and len(seen) > 100:
                 raise RuntimeError("this process fails in its second chunk")
         return real(pub, msg, ctx)
 
@@ -298,9 +300,9 @@ def test_every_search_exit_reaps_its_children(reference_pub, workers, forks, mon
         assert (stats.collision is None) == (end == "budget")
     assert len(forks) == 2
     _assert_left_clean(before)
-    cpus = before[1]
-    if cpus is not None and len(cpus) > 1:
-        assert pinned and all(a == {min(cpus)} for a in pinned)
+    # the caller's CPU set is never changed, not even while it digests
+    assert setaffinity_calls == []
+    assert seen and all(cpus == before[1] for cpus in seen)
 
 
 @pytest.mark.parametrize("k, after", [(2, 0), (2, 70), (3, 70)])

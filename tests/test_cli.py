@@ -91,6 +91,22 @@ def test_keygen_exhausted_budget_is_exit_3(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_keygen_unwritable_private_file_leaves_no_public_file(tmp_path, capsys):
+    out_pub = tmp_path / "t.pub"
+    rc = main(
+        [
+            "keygen", "--m", "12", "--n", "8", "--p-bits", "10", "--nbar", "8",
+            "--out-pub", str(out_pub),
+            "--out-priv", str(tmp_path / "missing" / "t.priv"),
+            "--seed", "3", "--test-mode",
+        ]
+    )
+    assert rc == 2
+    out = capsys.readouterr()
+    assert out.out == "seed=3\n" and out.err.startswith("error: ")
+    assert not out_pub.exists()
+
+
 _KEYGEN = ["keygen", "--n", "8", "--p-bits", "10",
            "--out-pub", "never.pub", "--out-priv", "never.priv", "--seed", "5"]
 

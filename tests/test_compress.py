@@ -2,6 +2,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from juna.bitcodec import BitString, bit_long_shadow
 from juna.compress import Digest, digest
@@ -123,6 +125,34 @@ def test_worst_case_witnesses_cost_n_plus_1(n):
         before = ctx.mulcount
         digest(pub, BitString.from_string(text), ctx)
         assert ctx.mulcount - before == n + 1, text[:8]
+
+
+@st.composite
+def _run_messages(draw):
+    """A nonzero message of even length n in [4, 4096] made of alternating
+    runs of zeros and ones, the last run cut or stretched to fill n."""
+    n = 2 * draw(st.integers(2, 2048))
+    runs = draw(st.lists(st.integers(1, n), min_size=1, max_size=40))
+    bit = draw(st.sampled_from("01"))
+    text = ""
+    for length in runs:
+        text += bit * length
+        bit = "1" if bit == "0" else "0"
+    text = text[:n].ljust(n, text[-1])
+    return text if "1" in text else text[:-1] + "1"
+
+
+@settings(max_examples=150, deadline=None)
+@given(_run_messages())
+def test_count_is_expected_muls_and_at_most_n_plus_1(text):
+    # the count depends only on the long shadows, so any residues serve
+    n = len(text)
+    pub = PublicParams(m=5, n=n, M=23, C=(2,) * n)
+    ctx = pub.context()
+    msg = BitString.from_string(text)
+    before = ctx.mulcount
+    digest(pub, msg, ctx)
+    assert ctx.mulcount - before == expected_muls(msg) <= n + 1
 
 
 def test_digest_exhaustive_at_toy_scale():

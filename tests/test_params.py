@@ -882,9 +882,10 @@ def values_232():
     return (A, ell, W, delta), C, ctx.mulcount
 
 
-@pytest.mark.parametrize(
-    "failure", [None, "fork-refused", "child-raises", "child-short", "pin-refused"])
-def test_forked_parts_give_the_serial_values_and_count(values_232, failure, monkeypatch):
+@pytest.mark.parametrize("failure", [None, "fork-refused", "child-raises", "child-short"])
+def test_forked_parts_give_the_serial_values_and_count(
+    values_232, failure, monkeypatch, setaffinity_calls
+):
     args, C, mulcount = values_232
     A = args[0]
     affinity = getattr(os, "sched_getaffinity", lambda pid: None)
@@ -908,8 +909,6 @@ def test_forked_parts_give_the_serial_values_and_count(values_232, failure, monk
     monkeypatch.setattr(params, "part_count", lambda work, least: 3)
     if failure == "fork-refused":
         monkeypatch.setattr(os, "fork", refused)
-    if failure == "pin-refused":
-        monkeypatch.setattr(os, "sched_setaffinity", refused, raising=False)
     ctx = ModContext(M232)
     assert params._compute_initial_values(ctx, *args) == C
     assert ctx.mulcount == mulcount
@@ -917,10 +916,9 @@ def test_forked_parts_give_the_serial_values_and_count(values_232, failure, monk
     # part whose child failed; it accepts no short part
     sizes = {"fork-refused": [343, 343, 344], "child-raises": [343, 344], "child-short": [343, 344]}
     assert [size for size, _ in computed_here] == sizes.get(failure, [343])
-    if before is not None:
-        # one CPU of its own for the first part, where pinning is allowed,
-        # and the caller's CPUs back afterwards
-        assert computed_here[0][1] == (before if failure == "pin-refused" else {min(before)})
-        assert affinity(0) == before
+    # the caller's CPU set is never changed, not even while its part runs
+    assert setaffinity_calls == []
+    assert all(cpus == before for _, cpus in computed_here)
+    assert affinity(0) == before
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)  # every child was reaped

@@ -4,7 +4,9 @@ knows the pipe record format."""
 
 from __future__ import annotations
 
+import functools
 import io
+import itertools
 import os
 import threading
 
@@ -99,3 +101,50 @@ class Forked:
             r.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+
+
+class Replayed(Forked):
+    """The items of a stream in order, each with the int a forked child
+    computed for it, or None where this process computes it.
+
+    stream() gives the same items in every process that calls it, from a
+    seeded rng of its own or one that the fork copied.  The items are cut
+    into chunks of `chunk`, and chunk j belongs to process j % workers: this
+    one for 0, child w - 1 for w.  Each child calls stream(), draws every
+    item and sends compute(x) for the items of its own chunks.  This process
+    calls stream() once, draws each item only when iterated, and reads a
+    child's chunk whole at its first item.  Items of this process's chunks,
+    and of a chunk whose child ended before writing all of it, come with
+    None.  With workers = 1 nothing is forked.
+    """
+
+    def __init__(self, stream, compute, workers: int, chunk: int, width: int):
+        self.stream = stream
+        self.workers = workers
+        self.chunk = chunk
+        producers = [
+            functools.partial(_replay, stream, compute, w, workers, chunk) for w in range(1, workers)
+        ]
+        super().__init__(producers, width)
+
+    def __iter__(self):
+        chunk, workers = self.chunk, self.workers
+        records = None
+        for i, x in enumerate(self.stream()):
+            k = i % chunk
+            if k == 0:
+                w = i // chunk % workers
+                records = self.read(w - 1, chunk) if w else None
+            yield x, None if records is None else records[k]
+
+
+def _replay(stream, compute, worker: int, workers: int, chunk: int):
+    """compute(x) for the items x of the chunks of stream() that belong to
+    process `worker`, in lists of one chunk."""
+    items = iter(stream())
+    for j in itertools.count():
+        block = list(itertools.islice(items, chunk))
+        if not block:
+            return
+        if j % workers == worker:
+            yield [compute(x) for x in block]

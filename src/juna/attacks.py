@@ -19,7 +19,7 @@ from itertools import combinations
 from .bitcodec import BitString, _drawn, bit_long_shadow
 from .compress import digest
 from .errors import DomainError, InstanceTooLargeError, ParseError
-from ._procs import Forked, part_count
+from ._procs import Replayed, part_count
 from .keyfile import PublicParams
 
 MITM_CAP = 40
@@ -146,32 +146,25 @@ def check_birthday(pub: PublicParams, mask_bits: int, budget: int) -> None:
         raise DomainError("budget must be at least 1")
 
 
-def _draws(rng, n: int, budget: int):
-    """The search's budget messages as nonzero n-bit ints drawn from rng, in
-    lists of SEARCH_CHUNK (the last may be shorter)."""
-    for start in range(0, budget, SEARCH_CHUNK):
-        chunk = []
-        for _ in range(min(SEARCH_CHUNK, budget - start)):
-            v = 0
-            while v == 0:
-                v = rng.getrandbits(n)
-            chunk.append(v)
-        yield chunk
+def _messages(seed: int, n: int, budget: int):
+    """The search's budget messages: nonzero n-bit ints drawn from
+    random.Random(seed)."""
+    import random
+
+    getrandbits = random.Random(seed).getrandbits
+    for _ in range(budget):
+        v = 0
+        while v == 0:
+            v = getrandbits(n)
+        yield v
 
 
-def _digest_chunks(pub: PublicParams, rng, mask: int, budget: int, worker: int, workers: int):
-    """For each chunk j of the stream with j % workers == worker, one record
-    per message: (multiplications << mask_bits) | truncated digest."""
+def _record(pub: PublicParams, mask: int, v: int) -> int:
+    """(multiplications << mask_bits) | truncated digest of message v."""
     ctx = pub.context()
-    shift = mask.bit_length()
-    for j, chunk in enumerate(_draws(rng, pub.n, budget)):
-        if j % workers == worker:
-            records = []
-            for v in chunk:
-                before = ctx.mulcount
-                t = digest(pub, _drawn(v, pub.n), ctx).value & mask
-                records.append((ctx.mulcount - before) << shift | t)
-            yield records
+    before = ctx.mulcount
+    t = digest(pub, _drawn(v, pub.n), ctx).value & mask
+    return (ctx.mulcount - before) << mask.bit_length() | t
 
 
 def birthday_search(
@@ -184,17 +177,15 @@ def birthday_search(
     rng seeded with seed.
 
     The stream is cut into chunks of SEARCH_CHUNK messages, and chunk j is
-    digested by process j % W, for W processes from _procs.part_count
-    with at least MIN_SEARCH_WORK of the expected min(budget, threshold) * n
-    each.  The W - 1 children replay the stream and send back each digest's
-    truncated value and count; this process draws every message, digests its
-    own chunks and checks the table strictly in stream order, charging the
-    context a child's count only for the records it checks.  A chunk whose
-    child died is digested here.  So the result and the count are those of
-    one process for every W.
+    digested by process j % W through _procs.Replayed, for W processes from
+    _procs.part_count with at least MIN_SEARCH_WORK of the expected
+    min(budget, threshold) * n each.  The W - 1 children replay the stream
+    and send back each digest's truncated value and count; this process
+    draws every message, digests its own chunks and those of a child that
+    ended, and checks the table strictly in stream order, charging the
+    context a child's count only for the records it checks.  So the result
+    and the count are those of one process for every W.
     """
-    import random
-
     check_birthday(pub, mask_bits, budget)
     n = pub.n
     mask = (1 << mask_bits) - 1
@@ -203,33 +194,25 @@ def birthday_search(
     threshold = BIRTHDAY_COEFFICIENT * 2 ** (mask_bits / 2)
     workers = part_count(int(min(budget, threshold) * n), MIN_SEARCH_WORK)
     width = (mask_bits + 32 + 7) // 8  # bytes per record, 32 bits for the count
-    producers = [
-        functools.partial(_digest_chunks, pub, random.Random(seed), mask, budget, w, workers)
-        for w in range(1, workers)
-    ]
-    trials = 0
-
-    with Forked(producers, width) as children:
-        for j, chunk in enumerate(_draws(random.Random(seed), n, budget)):
-            w = j % workers
-            records = children.read(w - 1, len(chunk)) if w else None
-            for i, v in enumerate(chunk):
-                if records is None:
-                    t = digest(pub, _drawn(v, n), ctx).value & mask
-                else:
-                    ctx._tick(records[i] >> mask_bits)
-                    t = records[i] & mask
-                trials += 1
-                prior = seen.setdefault(t, v)
-                if prior != v:
-                    return BirthdayStats(
-                        trials=trials,
-                        collision=(BitString.from_int(prior, n), BitString.from_int(v, n)),
-                        threshold=threshold,
-                        seed=seed,
-                        mask_bits=mask_bits,
-                        collision_value=t,
-                    )
+    stream = functools.partial(_messages, seed, n, budget)
+    compute = functools.partial(_record, pub, mask)
+    with Replayed(stream, compute, workers, SEARCH_CHUNK, width) as messages:
+        for trials, (v, record) in enumerate(messages, 1):
+            if record is None:
+                t = digest(pub, _drawn(v, n), ctx).value & mask
+            else:
+                ctx._tick(record >> mask_bits)
+                t = record & mask
+            prior = seen.setdefault(t, v)
+            if prior != v:
+                return BirthdayStats(
+                    trials=trials,
+                    collision=(BitString.from_int(prior, n), BitString.from_int(v, n)),
+                    threshold=threshold,
+                    seed=seed,
+                    mask_bits=mask_bits,
+                    collision_value=t,
+                )
     return BirthdayStats(
         trials=budget,
         collision=None,

@@ -323,7 +323,8 @@ def find_safe_prime(bits: int, rng, budget: int | None = None) -> ModContext:
     """Search for M = 2q + 1 with q prime and ceil(lg M) = bits.
 
     Each attempt draws one candidate q uniformly from [2**(bits-2),
-    2**(bits-1) - 1], which forces the bit length of M.  Above the small
+    2**(bits-1) - 1], which forces the bit length of M, from the getrandbits
+    calls that rng.randrange makes for it in CPython.  Above the small
     primes, q and M are sieved together, first by the odd primes to 23
     through the residue of q, a word, then by one gcd with the primorial,
     and then given one base-2 Miller-Rabin round each before the full test
@@ -334,10 +335,15 @@ def find_safe_prime(bits: int, rng, budget: int | None = None) -> ModContext:
     if bits < 5:
         raise DomainError(f"safe-prime search needs at least 5 bits, got {bits}")
     attempts = 2_000_000 if budget is None else budget
-    lo = 1 << (bits - 2)
-    hi = (1 << (bits - 1)) - 1
+    getrandbits = rng.getrandbits
+    top = 1 << (bits - 2)
     for _ in range(attempts):
-        q = rng.randrange(lo, hi + 1) | 1
+        # rng.randrange(top, 2 * top) in CPython: bits - 1 bits, redrawn
+        # while the top one is set
+        q = getrandbits(bits - 1)
+        while q & top:
+            q = getrandbits(bits - 1)
+        q |= top | 1
         M = 2 * q + 1
         r = q % _SCREEN
         if q > _SMALL_PRIMES[-1] and (

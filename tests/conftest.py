@@ -64,6 +64,44 @@ def tested(monkeypatch):
     return calls
 
 
+def _process_state():
+    """This process's open files and CPU set, where the system shows them."""
+    fds = sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+    return fds, _affinity()
+
+
+# read past any test's stand-in for os.sched_getaffinity
+_getaffinity = getattr(os, "sched_getaffinity", None)
+
+
+def _affinity():
+    return _getaffinity(0) if _getaffinity else None
+
+
+def _assert_left_clean(before):
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)  # every child was reaped
+    assert _process_state() == before  # no pipe left open, the CPU set unchanged
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The os.fork calls this process makes during the test, after which
+    no child, pipe or changed CPU set may be left."""
+    calls = []
+    real, parent = os.fork, os.getpid()
+
+    def counting():
+        if os.getpid() == parent:
+            calls.append(parent)
+        return real()
+
+    before = _process_state()
+    monkeypatch.setattr(os, "fork", counting)
+    yield calls
+    _assert_left_clean(before)
+
+
 @pytest.fixture
 def setaffinity_calls(monkeypatch):
     """The os.sched_setaffinity calls this process makes during the test;

@@ -1,10 +1,15 @@
+import os
 import random
+import threading
 from math import gcd, prod
 
 import pytest
 
+from juna import coprime
 from juna.bitcodec import BitString, bit_shadow
 from juna.coprime import (
+    DRAW_CHUNK,
+    MIN_DRAW_PART,
     CoprimeSequence,
     first_violation,
     generate,
@@ -16,6 +21,7 @@ from juna.errors import (
     LengthMismatchError,
     SearchExhaustedError,
 )
+from juna.numtheory import is_probable_prime
 from coprime_oracle import subset_product
 from search_oracle import generate_by_randrange
 
@@ -163,6 +169,133 @@ def test_inline_draw_is_randrange(P):
                 x = inline.getrandbits(k)
             assert x + 2 == rng.randrange(2, P + 1), (seed, P)
         assert inline.getstate() == rng.getstate(), (seed, P)
+
+
+# The basis draw with its primality tests on forked processes, against the
+# randrange loop.
+
+DRAW_CASES = [(n, P) for n in (512, 600) for P in ((1 << 20) + 1, 1 << 32)]
+
+
+@pytest.fixture
+def draw_workers(monkeypatch):
+    """Sets the number of processes of every basis draw in the test."""
+
+    def set_count(k):
+        monkeypatch.setattr(coprime, "part_count", lambda work, least: k)
+
+    return set_count
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("n, P", DRAW_CASES)
+def test_forked_draw_is_the_randrange_loop(draw_workers, forks, tested, k, n, P):
+    for seed in range(3):
+        draw_workers(1)
+        tested.clear()
+        generate(n, P, random.Random(seed))
+        alone = len(tested)
+        draw_workers(k)
+        tested.clear()
+        rng, oracle_rng = random.Random(seed), random.Random(seed)
+        assert generate(n, P, rng) == generate_by_randrange(n, P, oracle_rng), seed
+        assert rng.getstate() == oracle_rng.getstate(), seed
+        # this process tests the candidates of about one chunk in k
+        assert abs(len(tested) - alone / k) < 2 * DRAW_CHUNK, seed
+    assert len(forks) == 3 * (k - 1)
+
+
+class _ParentOnly(random.Random):
+    """A seeded rng whose draws differ in every process but its maker's."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.maker = os.getpid()
+
+    def getrandbits(self, k):
+        x = super().getrandbits(k)
+        return x if os.getpid() == self.maker else x ^ 1
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_forked_draw_from_an_rng_that_does_not_replay(draw_workers, forks, k):
+    # each child's record echoes a candidate other than this process's, so
+    # this process tests every candidate itself
+    draw_workers(k)
+    for n, P in DRAW_CASES:
+        rng, oracle_rng = _ParentOnly(n), random.Random(n)
+        assert generate(n, P, rng) == generate_by_randrange(n, P, oracle_rng)
+        assert rng.getstate() == oracle_rng.getstate()
+        seq = generate(n, P, random.SystemRandom())
+        assert len(set(seq)) == n
+        assert all(2 <= x <= P and is_probable_prime(x) for x in seq)
+    assert len(forks) == 2 * len(DRAW_CASES) * (k - 1)
+
+
+@pytest.mark.parametrize("k, after", [(2, 0), (2, 100), (3, 100)])
+@pytest.mark.parametrize("n, P", DRAW_CASES)
+def test_a_child_that_exits_early_leaves_the_serial_draw(
+    draw_workers, forks, monkeypatch, k, after, n, P
+):
+    # each child leaves after `after` tests: at once, or in its second chunk
+    draw_workers(k)
+    parent, real, done = os.getpid(), coprime.is_probable_prime, []
+
+    def leaving(x):
+        if os.getpid() != parent:
+            if len(done) == after:
+                os._exit(0)
+            done.append(x)
+        return real(x)
+
+    monkeypatch.setattr(coprime, "is_probable_prime", leaving)
+    rng, oracle_rng = random.Random(7), random.Random(7)
+    assert generate(n, P, rng) == generate_by_randrange(n, P, oracle_rng)
+    assert rng.getstate() == oracle_rng.getstate()
+    assert len(forks) == k - 1
+
+
+@pytest.mark.parametrize("end", ["drawn", "error"])
+def test_every_draw_exit_reaps_its_children(draw_workers, forks, monkeypatch, end):
+    draw_workers(3)
+    parent, real, here = os.getpid(), coprime.is_probable_prime, []
+
+    def failing(x):
+        if os.getpid() == parent:
+            here.append(x)
+            if end == "error" and len(here) > 100:
+                raise RuntimeError("this process fails in its second chunk")
+        return real(x)
+
+    monkeypatch.setattr(coprime, "is_probable_prime", failing)
+    if end == "error":
+        with pytest.raises(RuntimeError):
+            generate(600, 1 << 32, random.Random(3))
+    else:
+        assert len(generate(600, 1 << 32, random.Random(3))) == 600
+    assert len(forks) == 2
+
+
+def test_draw_forks_only_from_two_processes_worth_of_primes(forks, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    for n in (2, 80, 2 * MIN_DRAW_PART - 2):
+        assert generate(n, 1 << 32, random.Random(n)) == generate_by_randrange(n, 1 << 32, random.Random(n))
+    assert forks == []
+    generate(2 * MIN_DRAW_PART, 1 << 32, random.Random(1))
+    assert len(forks) == 1
+
+
+def test_a_draw_from_a_second_thread_never_forks(forks, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    results = []
+    thread = threading.Thread(
+        target=lambda: results.append(generate(2 * MIN_DRAW_PART, 1 << 32, random.Random(5)))
+    )
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert forks == []
+    assert results == [generate_by_randrange(2 * MIN_DRAW_PART, 1 << 32, random.Random(5))]
 
 
 def test_generate_insufficient_primes():

@@ -53,3 +53,21 @@ def test_no_module_imports_a_private_name_of_keyfile(path):
 def test_record_users_import_nothing_from_params(name):
     path = Path(juna.__file__).parent / f"{name}.py"
     assert [imp for imp in _imports(path) if imp[0] == "params"] == []
+
+
+def _os_names(path, names):
+    """Each of names that the file reads as an attribute of os or imports
+    from os."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "os":
+            found.append(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [alias.name for alias in node.names]
+    return [name for name in found if name in names]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_procs_forks_or_opens_pipes(path):
+    named = _os_names(path, {"fork", "pipe"})
+    assert sorted(set(named)) == (["fork", "pipe"] if path.name == "_procs.py" else [])

@@ -4,9 +4,9 @@ import threading
 import pytest
 
 from juna import _procs, params
-from juna._procs import Forked
+from juna._procs import Forked, Replayed
 
-from test_attacks import _assert_left_clean, _process_state
+from conftest import _assert_left_clean, _process_state
 
 
 def _yields(*lists):
@@ -72,6 +72,33 @@ def test_no_producer_forks_nothing_and_pins_nothing(monkeypatch):
     monkeypatch.setattr(os, "fork", None)  # a call would raise TypeError
     with Forked([], 4):
         assert _process_state() == before
+    _assert_left_clean(before)
+
+
+def test_replayed_chunks_belong_to_process_j_mod_workers():
+    # chunks of 2 over 3 processes: this one has items 0, 1, 6, 7; the
+    # children send x * x for theirs, and the last chunk, 10 alone, is short
+    # of the 2 records read, so it comes with None
+    before = _process_state()
+    with Replayed(lambda: iter(range(11)), lambda x: x * x, 3, 2, 1) as items:
+        assert list(items) == [(0, None), (1, None), (2, 4), (3, 9), (4, 16), (5, 25),
+                               (6, None), (7, None), (8, 64), (9, 81), (10, None)]
+    _assert_left_clean(before)
+
+
+def test_replayed_items_of_a_child_that_ended_come_with_none():
+    parent = os.getpid()
+
+    def compute(x):
+        if x == 6 and os.getpid() != parent:
+            os._exit(0)
+        return x + 100
+
+    before = _process_state()
+    with Replayed(lambda: iter(range(10)), compute, 2, 2, 1) as items:
+        assert list(items) == [(0, None), (1, None), (2, 102), (3, 103), (4, None),
+                               (5, None), (6, None), (7, None), (8, None), (9, None)]
+        assert items.children == [None]
     _assert_left_clean(before)
 
 

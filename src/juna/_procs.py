@@ -77,30 +77,34 @@ class Forked:
         os.close(w)
         return pid, open(r, "rb")
 
-    def read(self, j: int, count: int) -> list[int] | None:
+    def read(self, j: int, count: int, short: bool = False) -> list[int] | None:
         """The next `count` ints from child j (from 0), or None if it ended
-        before writing them; a child that ended is reaped and reads as None
-        from then on."""
+        before writing them; with `short`, the ints it wrote if it exited
+        with status 0 after whole records.  A child that ended is reaped and
+        reads as None from then on."""
         child = self.children[j]
         if child is None:
             return None
         width = self.width
         data = child[1].read(count * width)  # a buffered read waits for them all
         if len(data) < count * width:
-            self._reap(j)
-            return None
+            status = self._reap(j)
+            if not short or status != 0 or len(data) % width:
+                return None
         return [int.from_bytes(data[i : i + width], "big") for i in range(0, len(data), width)]
 
-    def _reap(self, j: int):
-        """Close child j's pipe, kill it and wait for it, if it is still here."""
+    def _reap(self, j: int) -> int | None:
+        """Close child j's pipe, kill it and wait for it, if it is still
+        here; its wait status, or None if it was gone."""
         import signal
 
         child, self.children[j] = self.children[j], None
-        if child is not None:
-            pid, r = child
-            r.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        if child is None:
+            return None
+        pid, r = child
+        r.close()
+        os.kill(pid, signal.SIGKILL)
+        return os.waitpid(pid, 0)[1]
 
 
 class Replayed(Forked):
@@ -113,9 +117,10 @@ class Replayed(Forked):
     one for 0, child w - 1 for w.  Each child calls stream(), draws every
     item and sends compute(x) for the items of its own chunks.  This process
     calls stream() once, draws each item only when iterated, and reads a
-    child's chunk whole at its first item.  Items of this process's chunks,
-    and of a chunk whose child ended before writing all of it, come with
-    None.  With workers = 1 nothing is forked.
+    child's chunk at its first item: whole, or short where the stream ends
+    inside it and the child exits with status 0.  Items of this process's
+    chunks, and those a child that ended did not send, come with None.
+    With workers = 1 nothing is forked.
     """
 
     def __init__(self, stream, compute, workers: int, chunk: int, width: int):
@@ -129,13 +134,12 @@ class Replayed(Forked):
 
     def __iter__(self):
         chunk, workers = self.chunk, self.workers
-        records = None
         for i, x in enumerate(self.stream()):
             k = i % chunk
             if k == 0:
                 w = i // chunk % workers
-                records = self.read(w - 1, chunk) if w else None
-            yield x, None if records is None else records[k]
+                records = (self.read(w - 1, chunk, short=True) or []) if w else []
+            yield x, records[k] if k < len(records) else None
 
 
 def _replay(stream, compute, worker: int, workers: int, chunk: int):

@@ -308,7 +308,7 @@ def build_parser() -> _Parser:
         action="store_true",
         help="relax the production size floors (m >= 12, n >= 4)",
     )
-    p.add_argument("--budget", type=int, help="cap on safe-prime search attempts")
+    p.add_argument("--budget", type=int, help="cap on safe-prime candidates examined")
     p.set_defaults(func=cmd_keygen)
 
     p = sub.add_parser("hash", help="hash a message")

@@ -187,8 +187,9 @@ def generate(n: int, P: int, rng) -> CoprimeSequence:
         raise DomainError("need n >= 1")
     if P < 2:
         raise InsufficientPrimesError(f"no primes at all below {P}")
-    # Only small bounds can run short of primes; pi(2**21) ~ 155k >> 4096.
-    if P <= 1 << 21:
+    # The 4096th prime is 38 873, so only a smaller P or a larger n can run
+    # short of primes.
+    if P < 38_873 or n > 4096:
         count = sum(_sieve(P))
         if count < n:
             raise InsufficientPrimesError(f"only {count} primes <= {P}, need {n}")

@@ -107,38 +107,91 @@ def check_init_constraints(m, n, P, nbar, production, budget=None):
 MIN_PART = 512
 
 
-def _initial_values_part(M, W, w_inv, delta, A, ell) -> list[int]:
-    """(A_i * W**ell_i)**delta mod M for the pairs of A and ell."""
-    return [pow(a * pow(W if l >= 0 else w_inv, abs(l), M) % M, delta, M) for a, l in zip(A, ell)]
+def _initial_values_part(M, delta, A, powers, raised) -> list[int]:
+    """(A_i * W**ell_i)**delta mod M for the pairs of A and powers, which
+    holds each (W**delta)**ell_i when raised, else each W**ell_i."""
+    if raised:
+        return [pow(a, delta, M) * x % M for a, x in zip(A, powers)]
+    return [pow(a * x % M, delta, M) for a, x in zip(A, powers)]
+
+
+def _powers(M, base, inverse, exponents) -> tuple[list[int], int]:
+    """[base**l mod M for l in exponents], with inverse = base**-1, and the
+    multiplications square-and-multiply would use for them.
+
+    Up the sorted magnitudes of each sign, each power is the last one times
+    base**gap (inverse**gap below 0), or base**|l| alone where that takes
+    fewer multiplications, so the walk never costs more than the powers
+    taken one at a time.
+    """
+    power, muls = [1] * len(exponents), 0
+    order = sorted(range(len(exponents)), key=exponents.__getitem__)
+    up = [i for i in order if exponents[i] > 0]
+    down = [i for i in reversed(order) if exponents[i] < 0]
+    for b, indices in ((base, up), (inverse, down)):
+        x = last = 0
+        for i in indices:
+            mag = abs(exponents[i])
+            if mag != last:
+                alone, step = pow_muls(mag), pow_muls(mag - last) + 1
+                if last and step < alone:
+                    x = x * pow(b, mag - last, M) % M
+                    muls += step
+                else:
+                    x = pow(b, mag, M)
+                    muls += alone
+                last = mag
+            power[i] = x
+    return power, muls
 
 
 def _compute_initial_values(ctx, A, ell, W, delta) -> tuple[int, ...]:
-    """C_i = (A_i * W**ell_i)**delta mod M, with ctx charged what
-    square-and-multiply would use for each power, plus one product per value.
+    """C_i = (A_i * W**ell_i)**delta mod M, as A_i**delta * V**ell_i for
+    V = W**delta.
+
+    This process computes V and every V**ell_i by _powers, before it forks.
+    ctx is charged what square-and-multiply would use for V and that walk,
+    and for each value pow_muls(delta) plus one product.  V pays when the
+    walk saves at least pow_muls(delta) against each W**|ell_i| taken alone,
+    as at production sizes and most test-mode ones (not always at m = 12,
+    n = 8); otherwise the values are (A_i * W**ell_i)**delta from the walk
+    over W.  So the charge never exceeds that of the powers taken one at a
+    time, and the values are the same bytes either way.
 
     The pairs are split into part_count contiguous parts.  Forked children
     compute all parts but the first, which this process computes meanwhile;
     a part whose child fails is computed here, so the values and the count
-    never depend on the split.
+    never depend on the split.  Each part's values replace its powers in
+    one list, so the powers cost no memory beyond the values.
     """
     M = ctx.M
     w_inv = ctx.mod_inverse(W)
+    V = pow(W, delta, M)
+    power, walk = _powers(M, V, ctx.mod_inverse(V), ell)
+    raised = walk + pow_muls(delta) <= sum(pow_muls(abs(l)) for l in ell)
+    if raised:
+        walk += pow_muls(delta)
+    else:
+        power, walk = _powers(M, W, w_inv, ell)
     k = part_count(len(A), MIN_PART)
     cuts = [len(A) * j // k for j in range(k + 1)]
-    parts = [(A[lo:hi], ell[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+    spans = list(zip(cuts, cuts[1:]))
 
-    def produce(a, l):
-        yield _initial_values_part(M, W, w_inv, delta, a, l)
+    def part(lo, hi):
+        return _initial_values_part(M, delta, A[lo:hi], power[lo:hi], raised)
 
-    producers = [functools.partial(produce, a, l) for a, l in parts[1:]]
+    def produce(lo, hi):
+        yield part(lo, hi)
+
+    producers = [functools.partial(produce, lo, hi) for lo, hi in spans[1:]]
     with Forked(producers, (M.bit_length() + 7) // 8) as children:
-        out = _initial_values_part(M, W, w_inv, delta, *parts[0])
-        sent = [children.read(j, len(a)) for j, (a, _) in enumerate(parts[1:])]
-    for values, (a, l) in zip(sent, parts[1:]):
-        out += _initial_values_part(M, W, w_inv, delta, a, l) if values is None else values
-    powers_of_w = sum(pow_muls(abs(l)) for _, l in zip(A, ell))
-    ctx._tick(powers_of_w + len(out) * (1 + pow_muls(delta)))
-    return tuple(out)
+        lo, hi = spans[0]
+        power[lo:hi] = part(lo, hi)
+        for j, (lo, hi) in enumerate(spans[1:]):
+            values = children.read(j, hi - lo)
+            power[lo:hi] = part(lo, hi) if values is None else values
+    ctx._tick(walk + len(power) * (1 + pow_muls(delta)))
+    return tuple(power)
 
 
 def initialize(

@@ -97,3 +97,11 @@ def parse_line_by_line(text: str) -> PublicParams | PrivateParams:
         except (DomainError, ValueError) as exc:
             raise ParseError(str(exc)) from exc
     raise ParseError(f"unknown header {header!r}", line=1)
+
+
+def initial_values_one_at_a_time(ctx, A, ell, W, delta) -> tuple[int, ...]:
+    """C_i = (A_i * W**ell_i)**delta mod M, each power taken alone through
+    ctx, so that ctx is charged each one's square-and-multiply count and one
+    product per value: the formula keygen used before it walked the powers
+    of W**delta."""
+    return tuple(ctx.mod_pow(ctx.mod_mul(a, ctx.mod_pow(W, l)), delta) for a, l in zip(A, ell))

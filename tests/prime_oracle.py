@@ -5,9 +5,10 @@ Miller-Rabin with the 13 bases that are deterministic below 3.3 * 10**24,
 or with 64 bases drawn from an rng seeded by x above that.  The
 almost-extra-strong Lucas test steps the Lucas recurrence by powers of
 its 2x2 matrix and takes the Jacobi symbol from the factors of n.  The
-safe-prime loop tests each candidate q in full before it looks at 2q + 1.
-None of this shares code with the gcd trial division, the tiered bases,
-the V-only ladder or the combined sieve behind juna.numtheory.
+safe-prime search walks the same windows as juna's, with no sieve and no
+base-2 rounds: a full test of q, then of 2q + 1, at every slot.  None of
+this shares code with the gcd trial division, the tiered bases, the V-only
+ladder or the combined sieve behind juna.numtheory.
 """
 
 import math
@@ -105,15 +106,17 @@ def almost_extra_strong_lucas_plain(n: int, jacobi=_jacobi_by_factors) -> bool:
     return False
 
 
-def find_safe_prime_plain(bits: int, rng, rounds: int = 64) -> int:
-    """M = 2q + 1 from the first candidate q, drawn as find_safe_prime
-    draws it, for which q and M both pass the full test."""
-    lo = 1 << (bits - 2)
-    hi = (1 << (bits - 1)) - 1
+def find_safe_prime_unsieved(bits: int, rng, width: int, is_prime=is_probable_prime_plain) -> int:
+    """M = 2q + 1 from the first slot, in window order, whose q and 2q + 1
+    both pass is_prime, over the windows find_safe_prime draws: each starts
+    at one rng.getrandbits(bits - 2) with bits bits - 2 and 0 set, and runs
+    q0, q0 + 2, ... for width slots or up to 2**(bits-1)."""
+    top = 1 << (bits - 2)
     while True:
-        q = rng.randrange(lo, hi + 1) | 1
-        if is_probable_prime_plain(q, rounds) and is_probable_prime_plain(2 * q + 1, rounds):
-            return 2 * q + 1
+        q0 = rng.getrandbits(bits - 2) | top | 1
+        for q in range(q0, min(q0 + 2 * width, 2 * top), 2):
+            if is_prime(q) and is_prime(2 * q + 1):
+                return 2 * q + 1
 
 
 def composite_safe_form(bits: int) -> int:

@@ -200,18 +200,32 @@ def test_forked_search_is_the_serial_search_at_18_to_20_bits(reference_pub, work
 
 
 @pytest.mark.parametrize("k", [2, 3])
-@pytest.mark.parametrize("budget", [1, 2 * SEARCH_CHUNK + 10])
+@pytest.mark.parametrize("budget", [1, SEARCH_CHUNK + 10, 2 * SEARCH_CHUNK + 10])
 def test_forked_search_spends_its_budget_as_the_serial_search(
-    reference_pub, workers, forks, k, budget
+    reference_pub, workers, forks, monkeypatch, tmp_path, k, budget
 ):
-    # no collision at 30 bits; the last chunk, of 10 messages, is this
-    # process's at k = 2 and the second child's at k = 3
+    # no collision at 30 bits; the last chunk, of 10 messages, is the first
+    # child's at budget 74, and at budget 138 this process's at k = 2 and the
+    # second child's at k = 3
     workers(k)
+    calls = os.open(tmp_path / "digests", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+    real = attacks.digest
+
+    def counted(*args):
+        os.write(calls, b".")  # one byte per digest, from whichever process
+        return real(*args)
+
+    monkeypatch.setattr(attacks, "digest", counted)
     args = (30, budget, 7)
-    got = _counted(birthday_search, reference_pub, *args)
+    try:
+        got = _counted(birthday_search, reference_pub, *args)
+    finally:
+        os.close(calls)
     assert got[0].collision is None and got[0].trials == budget
     assert got == _counted(birthday_search_serial, reference_pub, *args)
     assert len(forks) == k - 1
+    # each message is digested once, by this process or by one child
+    assert (tmp_path / "digests").stat().st_size == budget
 
 
 def test_search_forks_only_from_two_processes_worth_of_work(

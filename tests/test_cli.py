@@ -428,8 +428,8 @@ def test_production_keygen_validate_bench_flow(tmp_path, capsys):
     assert vals["bound_respected"] == "true"
 
 
-PUB_4096_SHA256 = "dc485de865ed5369e8f2e7183c14fa307f5b60f451d0511ae6336ba3a7c3e13f"
-PRIV_4096_SHA256 = "d9be3cffae1495a5fbdf68b4f3726db15c846463b0590cb03e1425b50be0aeef"
+PUB_4096_SHA256 = "7e6ba1e731bcb06689f035227505f822977f953031902ccf53df5c42dcad9085"
+PRIV_4096_SHA256 = "dc5b05a4deea75c0b8fc58654b8a58a1099428ed0bd0c98e0f2638d6fd5b1ad4"
 
 
 def test_keygen_232_4096_is_byte_identical(keygen_4096, capsys):
@@ -438,7 +438,7 @@ def test_keygen_232_4096_is_byte_identical(keygen_4096, capsys):
     assert hashlib.sha256(pub.read_bytes()).hexdigest() == PUB_4096_SHA256
     assert hashlib.sha256(priv.read_bytes()).hexdigest() == PRIV_4096_SHA256
     # the search, the order checks and the initial values, however split
-    assert mulcount == 1511797
+    assert mulcount == 1429410
     M = int(dict(line.split("=", 1) for line in out.splitlines())["M"])
     assert main(["validate", "--pub", str(pub)]) == 0
     assert capsys.readouterr().out.splitlines() == [
@@ -454,7 +454,7 @@ def test_keygen_232_4096_is_byte_identical(keygen_4096, capsys):
 
 # stdout of the full audit of the seed-4096 pair, which parses all three
 # blocks of values at n = 4096
-AUDIT_4096_SHA256 = "01a50d724ed0eb047c1cade5523fee0f05bab9ed1c623e07db327a961d105d42"
+AUDIT_4096_SHA256 = "9d947d74e48deb179d68c97b8dd228d26608c532ddbd84bb9726f541aece5a91"
 
 
 def test_full_audit_of_4096_pair_is_pinned(keygen_4096, capsys):
@@ -466,7 +466,7 @@ def test_full_audit_of_4096_pair_is_pinned(keygen_4096, capsys):
 
 # stdout of validate --pub alone on the seed-4096 key, the public check that
 # each cli-4096 benchmark cycle times
-VALIDATE_PUB_4096_SHA256 = "3d7cb1da9604c9c62a54f81351958bd06131797094c4edeb5159f52e92400d9b"
+VALIDATE_PUB_4096_SHA256 = "09e0a862a7693a9686369093cadf94def977048c82c7ba06d48ee1f1b097c321"
 
 
 def test_public_check_of_4096_key_is_pinned(keygen_4096, capsys):
@@ -482,7 +482,7 @@ def test_hash_digests_are_pinned(keygen_4096, capsys):
     _, pub_4096, _, _ = keygen_4096
     bundled = Path(params.__file__).parent / "data" / "m80_n256.pub"
     for pub, bits, expected, mulcount in (
-        (pub_4096, 4096, "13476d6e144fe22dde26042d606f1ce74482574fb1cd3a2eb14f303a86", "2052"),
+        (pub_4096, 4096, "1e856cc2602dd2ed36a91d919fe156755758acb38f158dafdbe94787c7", "2052"),
         (bundled, 256, "468e432aca166325f4cb", "132"),
     ):
         argv = ["hash", "--pub", str(pub), "--msg-hex", "a5" * (bits // 8), "--bits", str(bits)]
@@ -498,7 +498,7 @@ def test_hash_of_a_message_file_is_pinned_at_232_4096(keygen_4096, tmp_path, cap
     msg.write_bytes(bytes(range(256)) * 2)
     assert main(["hash", "--pub", str(pub), "--msg-file", str(msg), "--bits", "4096"]) == 0
     vals = grab(capsys)
-    assert vals["digest"] == "40c66ede5e6fb6ec8304e456df849085284374e95de455b2855474e02e"
+    assert vals["digest"] == "b2ace5e28a2fd20dfe6b8d4e3e69e41fd3069d77ff8aadff194c5aa32c"
     assert vals["mulcount"] == "2067"
 
 
@@ -573,8 +573,8 @@ def test_hash_and_validate_processes_load_only_what_they_run(command):
 
 # stdout of chp setup at 512 bits, where the Lucas half of Baillie-PSW
 # decides each candidate q, and of a chp hash on the file it writes
-CHP_512_SHA256 = "be90e779e7b6590df27c9cfa1596fe07a802d07c9f5ad76df1f69276d6eb981f"
-CHP_512_HASH_SHA256 = "4c6510da66b8ea4e49ebe06649d23d253a0c5f107d4dc7a1c0bf5fc795e2bfa2"
+CHP_512_SHA256 = "2bbde00509015ee31f0bfe77e089e4a799ac6fb25fd01009e4c5296ec595f886"
+CHP_512_HASH_SHA256 = "91879cf278af78271ef2c7358c85b64dcf0a705dee7ac8d97202d45fdd1cd5f7"
 
 
 def test_chp_setup_and_hash_at_512_bits_are_pinned(tmp_path, capsys):

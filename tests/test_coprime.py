@@ -303,6 +303,22 @@ def test_generate_insufficient_primes():
         generate(4096, 1 << 10, random.Random(0))
 
 
+def test_generate_counts_primes_only_below_the_4096th(monkeypatch):
+    calls, real = [], coprime._sieve
+
+    def spy(limit):
+        calls.append(limit)
+        return real(limit)
+
+    monkeypatch.setattr(coprime, "_sieve", spy)
+    with pytest.raises(InsufficientPrimesError, match=r"^only 4095 primes <= 38872, need 4096$"):
+        generate(4096, 38_872, random.Random(0))
+    assert calls == [38_872]
+    for P in (38_873, 1 << 20, (1 << 21) + 1, 1 << 32):
+        assert len(generate(8, P, random.Random(0))) == 8
+    assert calls == [38_872]
+
+
 def test_constructor_rejects_duplicates_and_small():
     with pytest.raises(DomainError):
         CoprimeSequence((3, 3, 5))

@@ -1,9 +1,10 @@
+import functools
 import math
 import random
 
 import pytest
 
-from juna import keyfile, numtheory
+from juna import chp, keyfile, numtheory
 from juna.chp import _generates
 from juna.errors import (
     CompositeSafeFormError,
@@ -13,12 +14,11 @@ from juna.errors import (
     UnknownFactorizationError,
 )
 from juna.numtheory import (
-    _SCREEN,
-    _SMALL_PRIMES,
     ModContext,
     _miller_rabin,
     _almost_extra_strong_lucas,
     _proves_safe_prime,
+    _search_shape,
     ceil_lg,
     find_safe_prime,
     is_probable_prime,
@@ -29,11 +29,10 @@ from compress_oracle import square_multiply_oracle
 from prime_oracle import (
     _strong_probable_prime,
     composite_safe_form,
-    find_safe_prime_plain,
+    find_safe_prime_unsieved,
     is_probable_prime_plain,
     almost_extra_strong_lucas_plain,
 )
-from search_oracle import find_safe_prime_unscreened
 
 REFERENCE_M = 636743755563737235857207
 # A prime whose (M-1)/2 = 1099511627791 * 1099511628401 is not.
@@ -486,12 +485,15 @@ def test_find_safe_prime_returns_only_safe_primes(bits):
 @pytest.mark.parametrize("bits", [5, 6, 8, 12, 32, 64, 128])
 def test_find_safe_prime_matches_plain_loop(bits):
     # Below 2**81 both tests are deterministic.  At 128 bits the plain
-    # loop takes the first 8 of the 64 seeded bases to keep the run short;
+    # test takes the first 8 of the 64 seeded bases to keep the run short;
     # a composite passing those would end it early and fail the test.
-    rounds = 8 if bits > 81 else 64
+    is_prime = functools.partial(is_probable_prime_plain, rounds=8 if bits > 81 else 64)
+    width = _search_shape(bits)[0]
     for seed in range(20):
-        ctx = find_safe_prime(bits, random.Random(seed))
-        assert ctx.M == find_safe_prime_plain(bits, random.Random(seed), rounds), seed
+        rng, oracle_rng = random.Random(seed), random.Random(seed)
+        ctx = find_safe_prime(bits, rng)
+        assert ctx.M == find_safe_prime_unsieved(bits, oracle_rng, width, is_prime), seed
+        assert rng.getstate() == oracle_rng.getstate(), seed
         assert ceil_lg(ctx.M) == bits and ctx.q == (ctx.M - 1) // 2
 
 
@@ -500,20 +502,43 @@ def test_find_safe_prime_matches_plain_loop(bits):
     [(b, 200) for b in range(5, 17)] + [(32, 100), (64, 50), (232, 5)],
 )
 def test_find_safe_prime_matches_unscreened_loop(bits, seeds):
-    # The word screen rejects only composites, so the search stops at the
-    # same candidate and leaves the rng where the unscreened loop leaves it.
-    # At 5 bits the only safe prime is 23, whose q = 11 divides _SCREEN.
+    # The sieve and the base-2 rounds reject only composites, so the search
+    # stops at the slot where the full tests alone stop, and leaves the rng
+    # where one draw per window leaves it.
+    width = _search_shape(bits)[0]
     for seed in range(seeds):
         rng, oracle_rng = random.Random(seed), random.Random(seed)
-        assert find_safe_prime(bits, rng).M == find_safe_prime_unscreened(bits, oracle_rng).M, seed
+        M = find_safe_prime_unsieved(bits, oracle_rng, width, is_probable_prime)
+        assert find_safe_prime(bits, rng).M == M, seed
         assert rng.getstate() == oracle_rng.getstate(), seed
 
 
-def test_screen_primes_are_sieved():
-    # find_safe_prime screens only q > 1999, where a screen prime p <= 1999
-    # dividing q or 2q + 1 is a proper factor of it.
-    rest = _SCREEN
-    for p in _SMALL_PRIMES:
-        while rest % p == 0:
-            rest //= p
-    assert rest == 1
+def test_sieve_primes_lie_below_every_q():
+    # so the sieve strikes only proper multiples, at every width it serves
+    for bits in range(5, chp.MAX_BITS + 1):
+        assert _search_shape(bits)[1] < 1 << (bits - 2), bits
+
+
+def test_exhaustion_estimate_at_48_to_96_bits():
+    # By the Hardy-Littlewood density, about 2.64/(ln q)**2 for odd q, one
+    # safe prime falls on hit = (ln 2**(bits-1))**2 / 2.64 slots.  Then of
+    # searches with a budget of k * hit slots, a share near e**-k should give
+    # up, and the default budget of 20 ln 2 * hit gives up with about 2**-20.
+    # Seeds 0-199 at 48, 64 and 96 bits, within 4 binomial standard
+    # deviations of the pooled share.
+    def hit(bits):
+        return ((bits - 1) * math.log(2)) ** 2 / 2.64
+
+    for bits in (48, 64, 96):
+        assert _search_shape(bits)[2] >= 20 * math.log(2) * hit(bits)
+    runs = [(bits, seed) for bits in (48, 64, 96) for seed in range(200)]
+    for k in (1, 2):
+        gave_up = 0
+        for bits, seed in runs:
+            try:
+                find_safe_prime(bits, random.Random(seed), budget=round(k * hit(bits)))
+            except SearchExhaustedError:
+                gave_up += 1
+        expected = math.exp(-k)
+        sd = math.sqrt(expected * (1 - expected) / len(runs))
+        assert abs(gave_up / len(runs) - expected) < 4 * sd, (k, gave_up)

@@ -43,7 +43,7 @@ from juna.params import (
     validate,
 )
 
-from params_oracle import parse_line_by_line
+from params_oracle import initial_values_one_at_a_time, parse_line_by_line
 from prime_oracle import composite_safe_form
 
 REFERENCE_M = 636743755563737235857207
@@ -865,21 +865,27 @@ def test_batch_test_passes_consistent_values_with_even_delta(toy_priv):
 
 # Keygen's initial values in forked parts.
 
-# The 232-bit safe prime of keygen at seed 4096, --m 232.
+# A 232-bit safe prime, keygen's at seed 4096 before its search used windows.
 M232 = 4997464105296651671487586932735032660345060982367994914078607644897439
 
 
 @pytest.fixture(scope="module")
 def values_232():
-    """1030 pairs at 232 bits, with the values and count of one
-    ModContext.mod_pow and mod_mul call at a time."""
+    """1030 pairs at 232 bits, with their values and the count of one
+    ModContext.mod_pow and mod_mul call at a time, and the count of one
+    process."""
     rng = random.Random(12)
     A = [rng.randrange(2, 1 << 32) for _ in range(1030)]
     ell = [rng.choice((-1, 1)) * rng.randrange(5, 8196, 2) for _ in A]
     W, delta = rng.randrange(2, M232 - 1), rng.randrange(2, M232 - 1)
     ctx = ModContext(M232)
-    C = tuple(ctx.mod_pow(ctx.mod_mul(a, ctx.mod_pow(W, l)), delta) for a, l in zip(A, ell))
-    return (A, ell, W, delta), C, ctx.mulcount
+    C = initial_values_one_at_a_time(ctx, A, ell, W, delta)
+    serial = ModContext(M232)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(params, "part_count", lambda work, least: 1)
+        assert params._compute_initial_values(serial, A, ell, W, delta) == C
+    assert serial.mulcount <= ctx.mulcount
+    return (A, ell, W, delta), C, serial.mulcount
 
 
 @pytest.mark.parametrize("failure", [None, "fork-refused", "child-raises", "child-short"])
@@ -892,8 +898,8 @@ def test_forked_parts_give_the_serial_values_and_count(
     before = affinity(0)
     parent, real, computed_here = os.getpid(), params._initial_values_part, []
 
-    def part(M, W, w_inv, delta, A_part, ell_part):
-        values = real(M, W, w_inv, delta, A_part, ell_part)
+    def part(M, delta, A_part, *args):
+        values = real(M, delta, A_part, *args)
         if os.getpid() == parent:
             computed_here.append((len(values), affinity(0)))
         elif A_part[-1] == A[-1] and failure == "child-raises":
@@ -922,3 +928,32 @@ def test_forked_parts_give_the_serial_values_and_count(
     assert affinity(0) == before
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)  # every child was reaped
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    M=st.sampled_from([5, 23, 2069, 2879, 636743755563737235857207, M232]),
+    nbar_bits=st.integers(2, 32),
+    data=st.data(),
+)
+def test_initial_values_are_the_one_at_a_time_values_for_every_split(M, nbar_bits, data):
+    # 2069 is a prime whose (M - 1)/2 is not; small n and nbar make the walk
+    # save less than W**delta costs, and repeated magnitudes and both signs
+    # of one magnitude come up
+    n = data.draw(st.integers(1, 24))
+    A = data.draw(st.lists(st.integers(2, 1 << 32), min_size=n, max_size=n))
+    mags = st.integers(2, 1 << nbar_bits).map(lambda x: 2 * x + 1)
+    ell = data.draw(st.lists(st.tuples(st.sampled_from([1, -1]), mags), min_size=n, max_size=n))
+    ell = [sign * mag for sign, mag in ell]
+    W, delta = data.draw(st.integers(1, M - 1)), data.draw(st.integers(0, M - 2))
+    one_at_a_time = ModContext(M)
+    C = initial_values_one_at_a_time(one_at_a_time, A, ell, W, delta)
+    counts = set()
+    for k in (1, 2, 3):
+        ctx = ModContext(M)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(params, "part_count", lambda work, least: k)
+            assert params._compute_initial_values(ctx, A, ell, W, delta) == C
+        counts.add(ctx.mulcount)
+    (count,) = counts
+    assert count <= one_at_a_time.mulcount

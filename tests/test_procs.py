@@ -47,6 +47,21 @@ def test_a_short_child_reads_none_is_reaped_and_reads_none_again():
     _assert_left_clean(before)
 
 
+def test_a_short_read_keeps_what_a_child_sent_before_exiting_with_status_0():
+    def fails():
+        yield [7, 8]
+        raise RuntimeError("the child exits with status 1")
+
+    before = _process_state()
+    with Forked([_yields([7, 8]), fails, _yields([9] * 3)], 4) as children:
+        assert children.read(0, 3, short=True) == [7, 8]
+        assert children.children[0] is None  # reaped at the short read
+        assert children.read(0, 1, short=True) is None
+        assert children.read(1, 3, short=True) is None
+        assert children.read(2, 3, short=True) == [9, 9, 9]
+    _assert_left_clean(before)
+
+
 def test_a_value_too_wide_for_its_record_reads_none():
     before = _process_state()
     with Forked([_yields([1, 256])], 1) as children:
@@ -77,12 +92,12 @@ def test_no_producer_forks_nothing_and_pins_nothing(monkeypatch):
 
 def test_replayed_chunks_belong_to_process_j_mod_workers():
     # chunks of 2 over 3 processes: this one has items 0, 1, 6, 7; the
-    # children send x * x for theirs, and the last chunk, 10 alone, is short
-    # of the 2 records read, so it comes with None
+    # children send x * x for theirs, and the last chunk, 10 alone, is the
+    # short one the second child sends before it exits
     before = _process_state()
     with Replayed(lambda: iter(range(11)), lambda x: x * x, 3, 2, 1) as items:
         assert list(items) == [(0, None), (1, None), (2, 4), (3, 9), (4, 16), (5, 25),
-                               (6, None), (7, None), (8, 64), (9, 81), (10, None)]
+                               (6, None), (7, None), (8, 64), (9, 81), (10, 100)]
     _assert_left_clean(before)
 
 

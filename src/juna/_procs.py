@@ -1,10 +1,9 @@
-"""Forked children that send ints back through pipes, each int as one
-fixed-width big-endian record: the one module of the package that forks or
-knows the pipe record format."""
+"""Forked children that replay a stream and send ints back through pipes,
+each int as one fixed-width big-endian record: the one module of the package
+that forks or knows the pipe record format."""
 
 from __future__ import annotations
 
-import functools
 import io
 import itertools
 import os
@@ -21,26 +20,41 @@ def part_count(work: int, least: int) -> int:
     return max(1, min(cpus or 1, work // least))
 
 
-class Forked:
-    """Forked children that each write the ints of one producer (it yields
-    lists of them) to a pipe while this process reads them, a count at a time.
+class Replayed:
+    """The items of a stream in order, each with the int a forked child
+    computed for it, or None where this process computes it.
 
-    Used as a context manager around the work of this process.  Entering
-    starts one child per producer, and the kernel places each; no CPU set is
-    read or changed.  Leaving kills and reaps every child, on every exit path.
-    A child leaves by os._exit, so it never returns into the caller, runs no
-    atexit handler and flushes none of the parent's buffers.
+    stream() gives the same items in every process that calls it, from a
+    seeded rng of its own or one that the fork copied.  The items are cut
+    into chunks of `chunk`, and chunk j belongs to process j % workers: this
+    one for 0, child w - 1 for w.  Each child calls stream(), draws every
+    item and writes compute(x) for the items of its own chunks, a chunk at a
+    time.  This process calls stream() once, draws each item only when
+    iterated, and reads a child's chunk at its first item: whole, or short
+    where the child exits with status 0 after whole records, as where the
+    stream ends inside the chunk.  Items of this process's chunks, and those
+    a child that ended did not send, come with None.
+
+    Used as a context manager around the iteration.  Entering starts the
+    workers - 1 children, and the kernel places each; no CPU set is read or
+    changed.  With workers = 1 nothing is forked.  Leaving kills and reaps
+    every child, on every exit path.  A child leaves by os._exit, so it
+    never returns into the caller, runs no atexit handler and flushes none
+    of the parent's buffers.
     """
 
-    def __init__(self, producers, width: int):
-        self.producers = producers
+    def __init__(self, stream, compute, workers: int, chunk: int, width: int):
+        self.stream = stream
+        self.compute = compute
+        self.workers = workers
+        self.chunk = chunk
         self.width = width
         self.children: list[tuple[int, io.BufferedReader] | None] = []
 
     def __enter__(self):
         try:
-            for produce in self.producers:
-                self.children.append(self._start(produce))
+            for w in range(1, self.workers):
+                self.children.append(self._start(w))
         except BaseException:
             self.__exit__()
             raise
@@ -50,9 +64,18 @@ class Forked:
         for j in range(len(self.children)):
             self._reap(j)
 
-    def _start(self, produce) -> tuple[int, io.BufferedReader] | None:
-        """(pid, read end) of a child writing the records of produce() to a
-        pipe, or None if it cannot be started."""
+    def __iter__(self):
+        chunk, workers = self.chunk, self.workers
+        for i, x in enumerate(self.stream()):
+            k = i % chunk
+            if k == 0:
+                w = i // chunk % workers
+                records = (self._read(w - 1) or []) if w else []
+            yield x, records[k] if k < len(records) else None
+
+    def _start(self, worker: int) -> tuple[int, io.BufferedReader] | None:
+        """(pid, read end) of a child writing the records of process
+        `worker`'s chunks to a pipe, or None if it cannot be started."""
         try:
             r, w = os.pipe()
         except OSError:
@@ -66,30 +89,34 @@ class Forked:
         if pid == 0:
             try:
                 os.close(r)
-                for values in produce():
-                    data = b"".join(v.to_bytes(self.width, "big") for v in values)
-                    done = 0
-                    while done < len(data):
-                        done += os.write(w, data[done:])
+                items = iter(self.stream())
+                for j in itertools.count():
+                    block = list(itertools.islice(items, self.chunk))
+                    if not block:
+                        break
+                    if j % self.workers == worker:
+                        data = b"".join(self.compute(x).to_bytes(self.width, "big") for x in block)
+                        done = 0
+                        while done < len(data):
+                            done += os.write(w, data[done:])
                 os._exit(0)
             finally:
                 os._exit(1)
         os.close(w)
         return pid, open(r, "rb")
 
-    def read(self, j: int, count: int, short: bool = False) -> list[int] | None:
-        """The next `count` ints from child j (from 0), or None if it ended
-        before writing them; with `short`, the ints it wrote if it exited
-        with status 0 after whole records.  A child that ended is reaped and
-        reads as None from then on."""
+    def _read(self, j: int) -> list[int] | None:
+        """The ints of child j's next chunk, or None if it ended before
+        writing them; short if it exited with status 0 after whole records.
+        A child that ended is reaped and reads as None from then on."""
         child = self.children[j]
         if child is None:
             return None
-        width = self.width
-        data = child[1].read(count * width)  # a buffered read waits for them all
-        if len(data) < count * width:
+        width, size = self.width, self.chunk * self.width
+        data = child[1].read(size)  # a buffered read waits for them all
+        if len(data) < size:
             status = self._reap(j)
-            if not short or status != 0 or len(data) % width:
+            if status != 0 or len(data) % width:
                 return None
         return [int.from_bytes(data[i : i + width], "big") for i in range(0, len(data), width)]
 
@@ -105,50 +132,3 @@ class Forked:
         r.close()
         os.kill(pid, signal.SIGKILL)
         return os.waitpid(pid, 0)[1]
-
-
-class Replayed(Forked):
-    """The items of a stream in order, each with the int a forked child
-    computed for it, or None where this process computes it.
-
-    stream() gives the same items in every process that calls it, from a
-    seeded rng of its own or one that the fork copied.  The items are cut
-    into chunks of `chunk`, and chunk j belongs to process j % workers: this
-    one for 0, child w - 1 for w.  Each child calls stream(), draws every
-    item and sends compute(x) for the items of its own chunks.  This process
-    calls stream() once, draws each item only when iterated, and reads a
-    child's chunk at its first item: whole, or short where the stream ends
-    inside it and the child exits with status 0.  Items of this process's
-    chunks, and those a child that ended did not send, come with None.
-    With workers = 1 nothing is forked.
-    """
-
-    def __init__(self, stream, compute, workers: int, chunk: int, width: int):
-        self.stream = stream
-        self.workers = workers
-        self.chunk = chunk
-        producers = [
-            functools.partial(_replay, stream, compute, w, workers, chunk) for w in range(1, workers)
-        ]
-        super().__init__(producers, width)
-
-    def __iter__(self):
-        chunk, workers = self.chunk, self.workers
-        for i, x in enumerate(self.stream()):
-            k = i % chunk
-            if k == 0:
-                w = i // chunk % workers
-                records = (self.read(w - 1, chunk, short=True) or []) if w else []
-            yield x, records[k] if k < len(records) else None
-
-
-def _replay(stream, compute, worker: int, workers: int, chunk: int):
-    """compute(x) for the items x of the chunks of stream() that belong to
-    process `worker`, in lists of one chunk."""
-    items = iter(stream())
-    for j in itertools.count():
-        block = list(itertools.islice(items, chunk))
-        if not block:
-            return
-        if j % workers == worker:
-            yield [compute(x) for x in block]

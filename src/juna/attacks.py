@@ -16,7 +16,7 @@ from bisect import bisect_left
 from collections import namedtuple
 from itertools import combinations
 
-from .bitcodec import BitString, _drawn, bit_long_shadow
+from .bitcodec import BitString, _drawn, bit_long_shadow, random_messages
 from .compress import digest
 from .errors import DomainError, InstanceTooLargeError, ParseError
 from ._procs import Replayed, part_count
@@ -146,19 +146,6 @@ def check_birthday(pub: PublicParams, mask_bits: int, budget: int) -> None:
         raise DomainError("budget must be at least 1")
 
 
-def _messages(seed: int, n: int, budget: int):
-    """The search's budget messages: nonzero n-bit ints drawn from
-    random.Random(seed)."""
-    import random
-
-    getrandbits = random.Random(seed).getrandbits
-    for _ in range(budget):
-        v = 0
-        while v == 0:
-            v = getrandbits(n)
-        yield v
-
-
 def _record(pub: PublicParams, mask: int, v: int) -> int:
     """(multiplications << mask_bits) | truncated digest of message v."""
     ctx = pub.context()
@@ -194,7 +181,7 @@ def birthday_search(
     threshold = BIRTHDAY_COEFFICIENT * 2 ** (mask_bits / 2)
     workers = part_count(int(min(budget, threshold) * n), MIN_SEARCH_WORK)
     width = (mask_bits + 32 + 7) // 8  # bytes per record, 32 bits for the count
-    stream = functools.partial(_messages, seed, n, budget)
+    stream = functools.partial(random_messages, seed, n, budget)
     compute = functools.partial(_record, pub, mask)
     with Replayed(stream, compute, workers, SEARCH_CHUNK, width) as messages:
         for trials, (v, record) in enumerate(messages, 1):

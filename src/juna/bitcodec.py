@@ -162,6 +162,19 @@ def _drawn(value: int, n: int) -> BitString:
     return tuple.__new__(BitString, (value, n))
 
 
+def random_messages(seed: int, n: int, count: int):
+    """count nonzero n-bit ints drawn from random.Random(seed), each
+    redrawn while it is 0."""
+    import random
+
+    getrandbits = random.Random(seed).getrandbits
+    for _ in range(count):
+        v = 0
+        while v == 0:
+            v = getrandbits(n)
+        yield v
+
+
 def bit_shadow(msg: BitString) -> ShadowString:
     """Shadow encoding by the three positional rules.
 

@@ -16,7 +16,7 @@ import sys
 import time
 
 from . import compress, keyfile, params
-from .bitcodec import MAX_BITS, BitString, leading_bits, pad_to_length
+from .bitcodec import MAX_BITS, BitString, leading_bits, pad_to_length, random_messages
 from .errors import DomainError, JunaError, ParseError, SearchExhaustedError
 
 
@@ -262,17 +262,11 @@ def cmd_bench(args) -> int:
     if args.iters < 1:
         raise DomainError(f"--iters must be at least 1, got {args.iters}")
     seed = _resolve_seed(args)
-    import random
-
-    rng = random.Random(seed)
     pub = _load(args.pub)
     ctx = pub.context()
     counts = []
     start = time.perf_counter()
-    for _ in range(args.iters):
-        v = 0
-        while v == 0:
-            v = rng.getrandbits(pub.n)
+    for v in random_messages(seed, pub.n, args.iters):
         msg = BitString.from_int(v, pub.n)
         before = ctx.mulcount
         compress.digest(pub, msg, ctx)

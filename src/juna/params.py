@@ -17,7 +17,7 @@ import operator
 from collections import namedtuple
 
 from . import coprime
-from ._procs import Forked, part_count
+from ._procs import Replayed, part_count
 from .bitcodec import BitString, bit_long_shadow
 from .errors import (
     CompositeSafeFormError,
@@ -107,12 +107,12 @@ def check_init_constraints(m, n, P, nbar, production, budget=None):
 MIN_PART = 512
 
 
-def _initial_values_part(M, delta, A, powers, raised) -> list[int]:
-    """(A_i * W**ell_i)**delta mod M for the pairs of A and powers, which
-    holds each (W**delta)**ell_i when raised, else each W**ell_i."""
+def _initial_value(M, delta, a, x, raised) -> int:
+    """(a * W**ell)**delta mod M, for x = (W**delta)**ell when raised, else
+    x = W**ell."""
     if raised:
-        return [pow(a, delta, M) * x % M for a, x in zip(A, powers)]
-    return [pow(a * x % M, delta, M) for a, x in zip(A, powers)]
+        return pow(a, delta, M) * x % M
+    return pow(a * x % M, delta, M)
 
 
 def _powers(M, base, inverse, exponents) -> tuple[list[int], int]:
@@ -158,11 +158,12 @@ def _compute_initial_values(ctx, A, ell, W, delta) -> tuple[int, ...]:
     over W.  So the charge never exceeds that of the powers taken one at a
     time, and the values are the same bytes either way.
 
-    The pairs are split into part_count contiguous parts.  Forked children
-    compute all parts but the first, which this process computes meanwhile;
-    a part whose child fails is computed here, so the values and the count
-    never depend on the split.  Each part's values replace its powers in
-    one list, so the powers cost no memory beyond the values.
+    The indices are cut into part_count chunks, one per process, and run
+    through _procs.Replayed: forked children compute the values of all
+    chunks but the first, which this process computes meanwhile, and each
+    value a child did not send is computed here, so the values and the
+    count never depend on the split.  Each value replaces its power in one
+    list, so the powers cost no memory beyond the values.
     """
     M = ctx.M
     w_inv = ctx.mod_inverse(W)
@@ -173,23 +174,15 @@ def _compute_initial_values(ctx, A, ell, W, delta) -> tuple[int, ...]:
         walk += pow_muls(delta)
     else:
         power, walk = _powers(M, W, w_inv, ell)
-    k = part_count(len(A), MIN_PART)
-    cuts = [len(A) * j // k for j in range(k + 1)]
-    spans = list(zip(cuts, cuts[1:]))
+    n = len(A)
+    k = part_count(n, MIN_PART)
 
-    def part(lo, hi):
-        return _initial_values_part(M, delta, A[lo:hi], power[lo:hi], raised)
+    def compute(i):
+        return _initial_value(M, delta, A[i], power[i], raised)
 
-    def produce(lo, hi):
-        yield part(lo, hi)
-
-    producers = [functools.partial(produce, lo, hi) for lo, hi in spans[1:]]
-    with Forked(producers, (M.bit_length() + 7) // 8) as children:
-        lo, hi = spans[0]
-        power[lo:hi] = part(lo, hi)
-        for j, (lo, hi) in enumerate(spans[1:]):
-            values = children.read(j, hi - lo)
-            power[lo:hi] = part(lo, hi) if values is None else values
+    with Replayed(lambda: range(n), compute, k, -(-n // k), (M.bit_length() + 7) // 8) as values:
+        for i, value in values:
+            power[i] = compute(i) if value is None else value
     ctx._tick(walk + len(power) * (1 + pow_muls(delta)))
     return tuple(power)
 

@@ -71,3 +71,11 @@ def _os_names(path, names):
 def test_only_procs_forks_or_opens_pipes(path):
     named = _os_names(path, {"fork", "pipe"})
     assert sorted(set(named)) == (["fork", "pipe"] if path.name == "_procs.py" else [])
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_processes_are_forked_only_through_replayed(path):
+    # part_count sizes the split and Replayed runs it; nothing else of
+    # _procs, nor the module itself, is imported
+    names = [name for module, name in _imports(path) if module == "_procs"]
+    assert set(names) <= {"Replayed", "part_count"}

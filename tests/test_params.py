@@ -893,35 +893,36 @@ def test_forked_parts_give_the_serial_values_and_count(
     values_232, failure, monkeypatch, setaffinity_calls
 ):
     args, C, mulcount = values_232
-    A = args[0]
+    last = len(C) - 1
     affinity = getattr(os, "sched_getaffinity", lambda pid: None)
     before = affinity(0)
-    parent, real, computed_here = os.getpid(), params._initial_values_part, []
+    parent, real, computed_here = os.getpid(), params._initial_value, []
 
-    def part(M, delta, A_part, *args):
-        values = real(M, delta, A_part, *args)
+    def value(M, delta, a, *rest):
         if os.getpid() == parent:
-            computed_here.append((len(values), affinity(0)))
-        elif A_part[-1] == A[-1] and failure == "child-raises":
+            computed_here.append((a, affinity(0)))
+        elif a == args[0][last] and failure == "child-raises":
             raise RuntimeError("the child of the last part fails")
-        elif A_part[-1] == A[-1] and failure == "child-short":
-            return values[:-1]
-        return values
+        elif a == args[0][last] and failure == "child-short":
+            os._exit(0)  # before it writes its part, which it sends whole
+        return real(M, delta, a, *rest)
 
     def refused(*args):
         raise OSError("refused")
 
-    monkeypatch.setattr(params, "_initial_values_part", part)
+    monkeypatch.setattr(params, "_initial_value", value)
     monkeypatch.setattr(params, "part_count", lambda work, least: 3)
     if failure == "fork-refused":
         monkeypatch.setattr(os, "fork", refused)
     ctx = ModContext(M232)
     assert params._compute_initial_values(ctx, *args) == C
     assert ctx.mulcount == mulcount
-    # parts of 343, 343 and 344: this process computes the first, and each
-    # part whose child failed; it accepts no short part
-    sizes = {"fork-refused": [343, 343, 344], "child-raises": [343, 344], "child-short": [343, 344]}
-    assert [size for size, _ in computed_here] == sizes.get(failure, [343])
+    # parts of 344, 344 and 342: this process computes the values of the
+    # first, and those of each part whose child sent none of them
+    parts = {"fork-refused": [(0, 1030)], "child-raises": [(0, 344), (688, 1030)],
+             "child-short": [(0, 344), (688, 1030)]}
+    expected = [a for lo, hi in parts.get(failure, [(0, 344)]) for a in args[0][lo:hi]]
+    assert [a for a, _ in computed_here] == expected
     # the caller's CPU set is never changed, not even while its part runs
     assert setaffinity_calls == []
     assert all(cpus == before for _, cpus in computed_here)

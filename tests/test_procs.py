@@ -1,91 +1,107 @@
+import itertools
 import os
 import threading
 
 import pytest
 
 from juna import _procs, params
-from juna._procs import Forked, Replayed
+from juna._procs import Replayed
 
 from conftest import _assert_left_clean, _process_state
 
 
-def _yields(*lists):
-    """A producer that yields each of lists in turn."""
-
-    def produce():
-        yield from lists
-
-    return produce
+def _identity(x):
+    return x
 
 
-def test_a_read_spans_the_lists_a_child_yields():
+def test_a_child_sends_each_of_its_chunks_in_turn():
+    # chunks of 3 over 2 processes: the child sends items 3-5 and 9-11, and
+    # this process reads each chunk at its first item
     before = _process_state()
-    with Forked([_yields([1, 2, 3], [4, 5], [6])], 2) as children:
-        assert children.read(0, 4) == [1, 2, 3, 4]
-        assert children.read(0, 2) == [5, 6]
-        assert children.read(0, 0) == []
+    with Replayed(lambda: iter(range(12)), lambda x: x + 1, 2, 3, 2) as items:
+        assert [record for _, record in items] == [None] * 3 + [4, 5, 6] + [None] * 3 + [10, 11, 12]
     _assert_left_clean(before)
 
 
 @pytest.mark.parametrize("width", [1, 3, 30])
 def test_records_hold_every_value_of_their_width(width):
     top = 2 ** (8 * width) - 1
+    stream = [5, 6, top, 0, 0, top, 7, 8, 1, 0]
     before = _process_state()
-    with Forked([_yields([top, 0, 1]), _yields([0], [top])], width) as children:
-        assert children.read(1, 2) == [0, top]
-        assert children.read(0, 3) == [top, 0, 1]
+    with Replayed(lambda: iter(stream), _identity, 3, 2, width) as items:
+        assert list(items) == [(5, None), (6, None), (top, top), (0, 0), (0, 0), (top, top),
+                               (7, None), (8, None), (1, 1), (0, 0)]
     _assert_left_clean(before)
 
 
 def test_a_short_child_reads_none_is_reaped_and_reads_none_again():
+    # chunks of 4 over 2 processes: the child sends its first chunk, 4-7,
+    # fails inside its second, 12-15, and its third, 20-23, reads None too
+    def compute(x):
+        if x == 13:
+            raise RuntimeError("the child exits with status 1")
+        return x
+
     before = _process_state()
-    with Forked([_yields([7, 8]), _yields([9] * 3)], 4) as children:
-        assert children.read(0, 3) is None
-        assert children.children[0] is None  # reaped at the short read
-        assert children.read(0, 1) is None
-        assert children.read(1, 3) == [9, 9, 9]
+    with Replayed(lambda: iter(range(24)), compute, 2, 4, 4) as items:
+        records = []
+        for x, record in items:
+            records.append(record)
+            if x == 12:
+                assert items.children == [None]  # reaped at the short read
+        assert records == [None] * 4 + [4, 5, 6, 7] + [None] * 16
     _assert_left_clean(before)
 
 
 def test_a_short_read_keeps_what_a_child_sent_before_exiting_with_status_0():
-    def fails():
-        yield [7, 8]
-        raise RuntimeError("the child exits with status 1")
+    # chunks of 2 over 3 processes, and a stream that ends one item earlier
+    # in the children: the second child sends 10 alone of its last chunk,
+    # 10-11, and exits with status 0; the first sends its chunk 2-3 and
+    # fails inside its next, 8-9
+    parent = os.getpid()
+
+    def stream():
+        return iter(range(12 if os.getpid() == parent else 11))
+
+    def compute(x):
+        if x == 8:
+            raise RuntimeError("the child exits with status 1")
+        return x * 10
 
     before = _process_state()
-    with Forked([_yields([7, 8]), fails, _yields([9] * 3)], 4) as children:
-        assert children.read(0, 3, short=True) == [7, 8]
-        assert children.children[0] is None  # reaped at the short read
-        assert children.read(0, 1, short=True) is None
-        assert children.read(1, 3, short=True) is None
-        assert children.read(2, 3, short=True) == [9, 9, 9]
+    with Replayed(stream, compute, 3, 2, 4) as items:
+        assert list(items) == [(0, None), (1, None), (2, 20), (3, 30), (4, 40), (5, 50),
+                               (6, None), (7, None), (8, None), (9, None), (10, 100),
+                               (11, None)]
+        assert items.children == [None, None]  # both reaped at their short reads
     _assert_left_clean(before)
 
 
 def test_a_value_too_wide_for_its_record_reads_none():
     before = _process_state()
-    with Forked([_yields([1, 256])], 1) as children:
-        assert children.read(0, 2) is None
+    with Replayed(lambda: iter([0, 0, 1, 256]), _identity, 2, 2, 1) as items:
+        assert list(items) == [(0, None), (0, None), (1, None), (256, None)]
+        assert items.children == [None]
     _assert_left_clean(before)
 
 
 def test_leaving_early_kills_and_reaps_every_child():
-    def endless():
-        while True:
-            yield [1] * 1000
-
     before = _process_state()
     with pytest.raises(RuntimeError):
-        with Forked([endless, endless], 8) as children:
-            assert children.read(1, 5) == [1] * 5
-            raise RuntimeError("the parent fails while its children write")
+        with Replayed(itertools.count, _identity, 3, 1000, 8) as items:
+            for x, record in items:
+                if x == 1005:
+                    assert record == 1005
+                    raise RuntimeError("the parent fails while its children write")
     _assert_left_clean(before)
 
 
-def test_no_producer_forks_nothing_and_pins_nothing(monkeypatch):
+def test_one_worker_forks_nothing_and_pins_nothing(monkeypatch):
     before = _process_state()
     monkeypatch.setattr(os, "fork", None)  # a call would raise TypeError
-    with Forked([], 4):
+    with Replayed(lambda: iter(range(5)), _identity, 1, 2, 4) as items:
+        assert list(items) == [(x, None) for x in range(5)]
+        assert items.children == []
         assert _process_state() == before
     _assert_left_clean(before)
 

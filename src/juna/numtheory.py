@@ -13,7 +13,6 @@ import itertools
 import math
 import threading
 from collections import defaultdict
-from operator import itemgetter
 
 from .errors import (
     CompositeSafeFormError,
@@ -158,8 +157,10 @@ def pow_muls(e: int) -> int:
     return e.bit_length() + e.bit_count() - 2 if e else 0
 
 
-# Window width, in exponent bits, of ModContext.bit_products.
+# ModContext.bit_products' window: one byte of the exponent, so that its
+# digits come from to_bytes; and for each bit j the digits that have it set.
 _WINDOW = 8
+_DIGITS_WITH_BIT = tuple(tuple(d for d in range(1 << _WINDOW) if d >> j & 1) for j in range(_WINDOW))
 
 
 class ModContext:
@@ -229,7 +230,8 @@ class ModContext:
         """Product of bases[i]**e mod M over each exponent e >= 1 in groups
         and each position i in groups[e], by Yao's method (the bucket step of
         Pippenger's algorithm): walking the exponents down, a running product
-        takes in each group and is raised to the gap to the next exponent.
+        takes in each group's bases by index and is raised to the gap to the
+        next exponent; a gap of 1 is folded in with one product, not by pow.
         c bases over k exponents cost c + k - 2 products plus each gap's
         pow_muls, ticked once per call."""
         M = self.M
@@ -242,13 +244,14 @@ class ModContext:
         muls = -2  # the first group's first product and first fold are by 1
         for e, below in zip(levels, levels[1:] + [0]):
             ps = groups[e]
-            if len(ps) == 1:
-                running = running * bases[ps[0]] % M
+            for i in ps:
+                running = running * bases[i] % M
+            muls += len(ps) + 1
+            if e - below == 1:
+                acc = acc * running % M
             else:
-                for c in itemgetter(*ps)(bases):
-                    running = running * c % M
-            acc = acc * pow(running, e - below, M) % M
-            muls += len(ps) + 1 + pow_muls(e - below)
+                acc = acc * pow(running, e - below, M) % M
+                muls += pow_muls(e - below)
         self._tick(muls)
         return acc
 
@@ -257,31 +260,28 @@ class ModContext:
         product of base**exponent mod M, and for each bit k the product S_k
         of the bases whose exponent has bit k set.
 
-        Per 8-bit window each base goes into the bucket of its digit there
-        (the bucket step of Pippenger's method), and S_k is the product of
-        the buckets whose digit has the bit set.  The full product is
-        prod S_k**(2**k), by Horner's rule at 2 multiplications per bit.
-        Every multiplication done is ticked, once per call.
+        Per 8-bit window, a byte of one to_bytes of the exponent, each base
+        goes into the bucket of its digit (the bucket step of Pippenger's
+        method); S_k is the product of the buckets at the 128 digits with the
+        bit set, a tuple made once.  The full product is prod S_k**(2**k), by
+        Horner's rule at 2 multiplications per bit.  Every multiplication
+        done is ticked, once per call.
         """
         M = self.M
-        mask = (1 << _WINDOW) - 1
-        shifts = range(0, bits, _WINDOW)
-        digits = range(1, mask + 1)
-        buckets = [[1] * (1 << _WINDOW) for _ in shifts]
+        windows = -(-bits // _WINDOW)
+        buckets = [[1] * (1 << _WINDOW) for _ in range(windows)]
         muls = 0
         for base, e in pairs:
-            for bucket, shift in zip(buckets, shifts):
-                d = e >> shift & mask
+            for bucket, d in zip(buckets, e.to_bytes(windows, "little")):
                 if d:
                     bucket[d] = bucket[d] * base % M
                     muls += 1
         per_bit = []
         for bucket in buckets:
-            for j in range(_WINDOW):
+            for having in _DIGITS_WITH_BIT:
                 s = 1
-                for d in digits:
-                    if d >> j & 1:
-                        s = s * bucket[d] % M
+                for d in having:
+                    s = s * bucket[d] % M
                 per_bit.append(s)
         muls += len(per_bit) << (_WINDOW - 1)  # half the digits have bit j set
         per_bit = per_bit[:bits]

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import random
 
@@ -39,6 +40,8 @@ REFERENCE_M = 636743755563737235857207
 _NON_SAFE_PRIME = 2417851640636633232984383
 # Above this bound is_probable_prime is the Baillie-PSW test.
 _BPSW_FROM = 3_317_044_064_679_887_385_961_981
+# A 232-bit safe prime, the modulus of keygen at seed 4096, --m 232.
+_M232 = 4997464105296651671487586932735032660345060982367994914078607644897439
 
 
 def _sieve_flags(limit):
@@ -258,13 +261,17 @@ def test_multi_pow_agrees_with_pow_and_counts_once():
         ctx.multi_pow([(3, 2), (5, -1)])
 
 
-def test_grouped_pow_agrees_with_multi_pow_and_pow():
-    M = 1009
+@pytest.mark.parametrize("M", [1009, REFERENCE_M, _M232])
+def test_grouped_pow_agrees_with_multi_pow_and_pow(M):
     ctx = ModContext(M)
     rng = random.Random(23)
+    unit_gaps = long_gaps = 0
     for _ in range(300):
-        bases = [rng.randrange(1, 3000) for _ in range(rng.randrange(0, 12))]
-        exps = [rng.randrange(1, 40) for _ in bases]
+        # levels a random walk up from 0, so that gaps of 1 and of 2 or more
+        # both occur, and bases drawn unreduced onto them
+        walk = list(itertools.accumulate(rng.choices((1, 1, 1, 2, 3, 6, 40), k=rng.randrange(1, 8))))
+        bases = [rng.randrange(1, 3 * M) for _ in range(rng.randrange(0, 12))]
+        exps = [rng.choice(walk) for _ in bases]
         groups = {}
         for i, e in enumerate(exps):
             groups.setdefault(e, []).append(i)
@@ -273,6 +280,8 @@ def test_grouped_pow_agrees_with_multi_pow_and_pow():
         # square-and-multiply, the last gap taken down to 0
         levels = sorted(groups, reverse=True) + [0]
         gaps = [e - below for e, below in zip(levels, levels[1:])]
+        unit_gaps += gaps.count(1)
+        long_gaps += len(gaps) - gaps.count(1)
         muls = len(bases) + len(groups) - 2 if bases else 0
         muls += sum(g.bit_length() + g.bit_count() - 2 for g in gaps)
         before = ctx.mulcount
@@ -284,6 +293,7 @@ def test_grouped_pow_agrees_with_multi_pow_and_pow():
         before = ctx.mulcount
         assert ctx.multi_pow(pairs) == expected
         assert ctx.mulcount - before == muls
+    assert unit_gaps > 100 and long_gaps > 100
 
 
 def test_grouped_pow_and_multi_pow_refuse_nonpositive_exponents():
@@ -326,10 +336,6 @@ def test_bit_products_agree_with_pow(M, bits):
         windows = -(-bits // 8)
         digits = sum(1 for _, e in pairs for s in range(0, bits, 8) if e >> s & 255)
         assert ctx.mulcount - before == digits + windows * 8 * 128 + 2 * bits
-
-
-# A 232-bit safe prime, the modulus of keygen at seed 4096, --m 232.
-_M232 = 4997464105296651671487586932735032660345060982367994914078607644897439
 
 
 def test_square_multiply_matches_loop_oracle():

@@ -51,15 +51,6 @@ def omega_magnitudes(nbar: int) -> range:
     return range(5, 2 * nbar + 4, 2)
 
 
-def sample_omega(nbar: int, rng) -> tuple[int, ...]:
-    """Draw the signed exponent set: one independent sign per magnitude."""
-    if nbar < 1:
-        raise DomainError("nbar must be positive")
-    return tuple(
-        mag if rng.randrange(2) else -mag for mag in omega_magnitudes(nbar)
-    )
-
-
 def capacity_report(m: int, n: int, nbar: int, P: int) -> dict:
     """Both published forms of the sizing rule, with log2 margins."""
     main = 2 * n**5 * nbar * P**5
@@ -198,9 +189,12 @@ def initialize(
 ) -> tuple[PublicParams, PrivateParams]:
     """Run the full initialization: basis, modulus, blinding, exponents.
 
-    Deterministic for a seeded rng.  A duplicate among the C_i (expected
-    about once in 2**m runs) triggers a full redraw of W, delta, and the
-    exponent table.
+    Deterministic for a seeded rng.  The exponent table ell is n distinct
+    magnitudes drawn in order by rng.sample from the range of
+    omega_magnitudes(nbar), then one independent sign each, so any nbar up
+    to 2**32 costs O(n) time and memory.  A duplicate among the C_i
+    (expected about once in 2**m runs) triggers a full redraw of W, delta,
+    and the exponent table.
     """
     check_init_constraints(m, n, P, nbar, production, budget)
     A = coprime.generate(n, P, rng)
@@ -217,7 +211,8 @@ def initialize(
             delta = rng.randrange(2, M - 1)
             if math.gcd(delta, M - 1) == 1:
                 break
-        ell = tuple(rng.sample(sample_omega(nbar, rng), n))
+        mags = rng.sample(omega_magnitudes(nbar), n)
+        ell = tuple(mag if rng.randrange(2) else -mag for mag in mags)
         C = _compute_initial_values(ctx, A, ell, W, delta)
         if len(set(C)) == n and all(1 < c < M for c in C):
             break
@@ -405,10 +400,8 @@ def validate(pub: PublicParams, priv: PrivateParams | None = None) -> Validation
             add("basis_admissible", False, str(exc))
         add("basis_in_bound", all(2 <= a <= priv.P for a in priv.A))
         add("nbar_range", n <= priv.nbar <= MAX_NBAR, f"nbar = {priv.nbar}")
-        mags_ok = all(
-            abs(l) % 2 == 1 and 5 <= abs(l) <= 2 * priv.nbar + 3 for l in priv.ell
-        )
-        add("lever_magnitudes", mags_ok)
+        mags = omega_magnitudes(priv.nbar)
+        add("lever_magnitudes", all(abs(l) in mags for l in priv.ell))
         add("lever_injective", len(set(priv.ell)) == n)
         add(
             "lever_one_sign_per_magnitude",

@@ -1,9 +1,11 @@
-"""The line-by-line parameter parser, for the tests only.
+"""Oracles of juna.params and juna.keyfile, for the tests only.
 
-It reads one line at a time and checks each key and integer as it goes,
-the way juna.params.parse did before it checked whole blocks of value
-lines at once.  Tests require the two to accept the same files,
-return equal objects and raise the same ParseError, message and line.
+The line-by-line parameter parser reads one line at a time and checks each
+key and integer as it goes, the way juna.params.parse did before it checked
+whole blocks of value lines at once.  Tests require the two to accept the
+same files, return equal objects and raise the same ParseError, message and
+line.  The initial values taken one power at a time and the whole signed
+exponent set are keygen's earlier formulas, kept to check its current ones.
 """
 
 from juna import coprime
@@ -15,6 +17,7 @@ from juna.keyfile import (
     PrivateParams,
     PublicParams,
 )
+from juna.params import omega_magnitudes
 
 
 class _LineReader:
@@ -105,3 +108,14 @@ def initial_values_one_at_a_time(ctx, A, ell, W, delta) -> tuple[int, ...]:
     product per value: the formula keygen used before it walked the powers
     of W**delta."""
     return tuple(ctx.mod_pow(ctx.mod_mul(a, ctx.mod_pow(W, l)), delta) for a, l in zip(A, ell))
+
+
+def sample_omega(nbar: int, rng) -> tuple[int, ...]:
+    """The whole signed exponent set, one independent sign per magnitude:
+    keygen drew ell as rng.sample of this nbar-tuple before it sampled the
+    magnitudes from their range and signed only the n it kept."""
+    if nbar < 1:
+        raise DomainError("nbar must be positive")
+    return tuple(
+        mag if rng.randrange(2) else -mag for mag in omega_magnitudes(nbar)
+    )

@@ -39,11 +39,10 @@ from juna.params import (
     certify_collision,
     initialize,
     omega_magnitudes,
-    sample_omega,
     validate,
 )
 
-from params_oracle import initial_values_one_at_a_time, parse_line_by_line
+from params_oracle import initial_values_one_at_a_time, parse_line_by_line, sample_omega
 from prime_oracle import composite_safe_form
 
 REFERENCE_M = 636743755563737235857207
@@ -101,6 +100,52 @@ def test_sample_omega_sign_frequency():
                 counts[i] += 1
     for c in counts:
         assert abs(c / draws - 0.5) < 0.05
+
+
+def _chi_square_threshold(df: int, z: float = 3.09) -> float:
+    """The chi-square quantile at one-sided normal deviate z (3.09 for
+    p = 0.001), by the Wilson-Hilferty approximation."""
+    c = 2 / (9 * df)
+    return df * (1 - c + z * c**0.5) ** 3
+
+
+@pytest.mark.parametrize("n,nbar", [(4, 4), (4, 6)])
+def test_ell_draw_has_the_oracle_law(n, nbar):
+    # keygen samples n magnitudes from their range and signs each; the oracle
+    # signs all nbar magnitudes and samples n of them.  Each outcome of the
+    # ordered signed n-tuple is a cell: 384 at nbar = 4, 5760 at nbar = 6,
+    # so at nbar = 6 the cells are the ordered magnitudes (360) and, apart,
+    # the sign pattern (16).  A two-sample chi-square at p = 0.001 compares
+    # 4000 keys from seeds 0-3999 with 4000 oracle draws from one seed.
+    draws = 4000
+    ours = [initialize(m=12, n=n, P=1201, nbar=nbar, rng=random.Random(s))[1].ell
+            for s in range(draws)]
+    rng = random.Random(1)
+    theirs = [tuple(rng.sample(sample_omega(nbar, rng), n)) for _ in range(draws)]
+    views = [lambda ell: ell] if nbar == n else [
+        lambda ell: tuple(abs(l) for l in ell),
+        lambda ell: tuple(l > 0 for l in ell),
+    ]
+    for view in views:
+        cells = {}
+        for side, sample in enumerate((ours, theirs)):
+            for ell in sample:
+                cells.setdefault(view(ell), [0, 0])[side] += 1
+        stat = sum((a - b) ** 2 / (a + b) for a, b in cells.values())
+        assert stat < _chi_square_threshold(len(cells) - 1), (len(cells), stat)
+
+
+def test_keygen_at_the_largest_nbar_takes_o_n_memory():
+    # the exponent table comes from the magnitude range itself, so nbar = 2**32
+    # costs what nbar = n does rather than a 2**32-tuple
+    tracemalloc.start()
+    try:
+        pub, priv = initialize(m=12, n=8, P=1201, nbar=params.MAX_NBAR, rng=random.Random(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    assert validate(pub, priv).passed
 
 
 def test_check_capacity_published_cases():

@@ -2,11 +2,12 @@ import random
 
 import pytest
 
+from juna.attacks import birthday_search
 from juna.bitcodec import BitString
 from juna.compress import digest
 from juna.errors import DomainError, LengthMismatchError, ZeroMessageError
 from juna.keyfile import load, save
-from juna.params import initialize
+from juna.params import certify_collision, initialize
 from juna.reform import ReformProfile, reform_digest
 
 
@@ -60,3 +61,18 @@ def test_full_width_profile_160_to_80():
     assert (profile.pub.M - 1).bit_length() == 80
     d = reform_digest(profile, BitString.from_int((1 << 159) | 5, 160))
     assert len(d.hex) == 20
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_whole_digest_birthday_search_on_a_profile(seed):
+    # the output of a 32 -> 16 bit profile is a 16-bit digest, so a search on
+    # the whole digest meets a collision near 1.18 * 2**8 trials: a budget of
+    # 2**12 finds one, and the private side certifies it without hashing
+    pub, priv = initialize(m=16, n=32, P=1 << 16, nbar=32, rng=random.Random(7))
+    profile = ReformProfile(pub)
+    stats = birthday_search(profile.pub, mask_bits=profile.output_bits, budget=1 << 12, seed=seed)
+    assert stats.collision is not None
+    m1, m2 = stats.collision
+    assert m1 != m2
+    assert reform_digest(profile, m1) == reform_digest(profile, m2)
+    assert certify_collision(priv, pub, m1, m2).holds

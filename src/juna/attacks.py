@@ -244,9 +244,7 @@ def brute_force_collision(pub: PublicParams) -> list[CollisionPair]:
             ls1 = bit_long_shadow(m1)
             ls2 = bit_long_shadow(m2)
             ydiff = tuple(a - b for a, b in zip(ls1.values, ls2.values))
-            num = ctx.multi_pow((c, max(y, 0)) for c, y in zip(pub.C, ydiff))
-            den = ctx.multi_pow((c, max(-y, 0)) for c, y in zip(pub.C, ydiff))
-            ok = num == den  # num * den^-1 == 1 without an inversion
+            ok = ctx.multi_pow(zip(pub.C, ydiff)) == 1
             pairs.append(
                 CollisionPair(
                     msg1=m1, msg2=m2, digest_value=d, ydiff=ydiff, product_is_one=ok

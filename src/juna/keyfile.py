@@ -13,12 +13,11 @@ import os
 from collections import namedtuple
 
 from . import coprime
+from .bitcodec import MAX_BITS as MAX_N, MIN_BITS as TEST_MIN_N  # n is the message width
 from .errors import DomainError, ParseError
 from .numtheory import ModContext, ceil_lg
 
 MAX_M = 232
-TEST_MIN_N = 4
-MAX_N = 4096
 
 
 def _check_header(m: int, n: int, M: int):

@@ -203,28 +203,29 @@ class ModContext:
         return a * b % self.M
 
     def mod_pow(self, base: int, exponent: int) -> int:
-        """base**exponent mod M by builtin pow, charged pow_muls(exponent), the
-        multiplications of left-to-right binary square-and-multiply, not
-        CPython's internal operation count.
-
-        Negative exponents go through the inverse of the base.
-        """
-        if exponent < 0:
-            base = self.mod_inverse(base)
-            exponent = -exponent
+        """base**exponent mod M, the one-pair multi_pow: by builtin pow,
+        charged pow_muls(|exponent|), the multiplications of left-to-right
+        binary square-and-multiply, not CPython's internal operation count.
+        A negative exponent inverts the power once, uncounted."""
         return self.multi_pow(((base, exponent),))
 
     def multi_pow(self, pairs) -> int:
-        """Product of base**exponent mod M over (base, exponent >= 0) pairs:
-        grouped_pow over the bases with a positive exponent, grouped by it."""
-        bases, groups = [], defaultdict(list)
+        """Product of base**exponent mod M over (base, exponent) pairs of
+        either sign: one grouped_pow over the bases of each sign, grouped by
+        the exponent's magnitude; the negative half's product is inverted once
+        by mod_inverse, uncounted, and the halves are joined by one counted
+        product when both are nonempty.  Zero exponents cost nothing."""
+        up, down = ([], defaultdict(list)), ([], defaultdict(list))
         for base, e in pairs:
-            if e > 0:
-                groups[e].append(len(bases))
+            if e:
+                bases, groups = down if e < 0 else up
+                groups[abs(e)].append(len(bases))
                 bases.append(base)
-            elif e:
-                raise DomainError(f"multi_pow needs exponents >= 0, got {e}")
-        return self.grouped_pow(bases, groups)
+        acc = self.grouped_pow(*up)
+        if not down[0]:
+            return acc
+        inv = self.mod_inverse(self.grouped_pow(*down))
+        return self.mod_mul(acc, inv) if up[0] else inv
 
     def grouped_pow(self, bases, groups) -> int:
         """Product of bases[i]**e mod M over each exponent e >= 1 in groups

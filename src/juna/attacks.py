@@ -1,10 +1,11 @@
 """Executable cryptanalysis: subset-sum splitting, birthday search and
 exhaustive toy collisions.
 
-The meet-in-the-middle solver attacks plain subset-sum instances; the
-long-shadow coupling of the compressor has no workable split point, so
-the solver demonstrates the dichotomy on the additive problem it does
-apply to.  The birthday harness truncates digests so that collisions are
+The meet-in-the-middle solver attacks plain subset-sum instances.  The
+whole message space has no split point, but subspaces with 1-bits fixed at
+block starts do: the digest factors over the blocks, so Merkle and
+Hellman's meet-in-the-middle (1981) applies there (ROADMAP item 1; not run
+here).  The birthday harness truncates digests so that collisions are
 reachable at desk scale; truncation is a testing aid, not a mode of the
 hash.
 """

@@ -167,6 +167,34 @@ def test_digest_exhaustive_at_toy_scale():
             assert d == digest_oracle(pub, msg), (n, v)
 
 
+@pytest.mark.parametrize(
+    "key, blocks",
+    [
+        ("bundled", [(0, 42), (42, 84)]),
+        ("m16_n256", [(0, 10), (10, 20)]),
+    ],
+)
+def test_digest_factors_over_first_half_blocks(key, blocks, reference_pub):
+    # First-half layout: 1-bits fixed at position 0, at each block's first
+    # position and at n/2 - 1, the second half all zero.  Each free bit's long
+    # shadow then depends only on its own block, so the digest splits:
+    # digest(a | b) * digest(none) = digest(a) * digest(b) mod M.
+    if key == "bundled":
+        pub = reference_pub
+    else:
+        pub, _ = initialize(16, 256, 2**16, 256, rng=random.Random(7))
+    n, M = pub.n, pub.M
+    fixed = {0, n // 2 - 1} | {lo for lo, _ in blocks}
+
+    def d(free):
+        return digest(pub, BitString(sum(1 << (n - 1 - i) for i in fixed | free), n)).value
+
+    rng = random.Random(blocks[1][1])
+    for _ in range(200):
+        a, b = ({i for i in range(lo + 1, hi) if rng.getrandbits(1)} for lo, hi in blocks)
+        assert d(a | b) * d(set()) % M == d(a) * d(b) % M, (a, b)
+
+
 def test_digest_rejects_bad_messages(toy_pub):
     with pytest.raises(ZeroMessageError):
         digest(toy_pub, BitString.from_string("0" * 8))

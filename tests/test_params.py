@@ -347,6 +347,68 @@ def test_certify_rejects_inconsistent_private_side(toy_pub, toy_priv):
         certify_collision(other, toy_pub, msg, msg)
 
 
+@pytest.fixture
+def consistency_checks(monkeypatch):
+    """The (pub, priv) of each _initial_values_consistent call during the
+    test, in which no initial value may be regenerated: at a safe prime the
+    check is the batch test."""
+    calls = []
+    real = params._initial_values_consistent
+
+    def counting(ctx, pub, priv):
+        calls.append((pub, priv))
+        return real(ctx, pub, priv)
+
+    def refused(*args):
+        raise AssertionError("initial values regenerated")
+
+    monkeypatch.setattr(params, "_initial_values_consistent", counting)
+    monkeypatch.setattr(params, "_compute_initial_values", refused)
+    return calls
+
+
+def test_certify_checks_each_pair_once(toy_pub, toy_priv, consistency_checks):
+    pub = toy_pub._replace()  # a new record, with nothing cached on it
+    msgs = [BitString.from_int(v, 8) for v in range(1, 256)]
+    for m1, m2 in zip(msgs, msgs[1:]):
+        certify_collision(toy_priv, pub, m1, m2)
+    assert consistency_checks == [(pub, toy_priv)]
+    # a failing check is never kept: the wrong record raises every time
+    bad = toy_priv._replace(W=toy_priv.W + 1)
+    for _ in range(3):
+        with pytest.raises(InconsistentParamsError, match="^private side does not regenerate"):
+            certify_collision(bad, pub, msgs[0], msgs[0])
+    assert len(consistency_checks) == 4
+    assert certify_collision(toy_priv, pub, msgs[0], msgs[1]).holds is False
+    assert len(consistency_checks) == 4
+    # an equal record of another identity, and a _replace'd public record, are checked afresh
+    twin = toy_priv._replace()
+    assert certify_collision(twin, pub, msgs[0], msgs[0]).holds
+    assert consistency_checks[-1][1] is twin
+    fresh = pub._replace()
+    assert certify_collision(twin, fresh, msgs[0], msgs[0]).holds
+    assert consistency_checks[-1][0] is fresh and len(consistency_checks) == 6
+
+
+def test_certify_refuses_a_wrong_record_after_a_good_pair_is_kept(toy_pub, toy_priv):
+    msg = BitString.from_string("01010110")
+    assert certify_collision(toy_priv, toy_pub, msg, msg).holds
+    with pytest.raises(InconsistentParamsError):
+        certify_collision(toy_priv._replace(W=toy_priv.W + 1), toy_pub, msg, msg)
+    # the wrong values on a _replace'd public record are checked, not read off the cache
+    wrong = toy_pub._replace(C=toy_pub.C[1:] + toy_pub.C[:1])
+    with pytest.raises(InconsistentParamsError):
+        certify_collision(toy_priv, wrong, msg, msg)
+
+
+def test_certify_compares_headers_before_values(toy_pub, toy_priv, consistency_checks):
+    msg = BitString.from_string("01010110")
+    for field, value in (("m", toy_priv.m + 1), ("n", 10), ("M", toy_priv.M + 2)):
+        with pytest.raises(InconsistentParamsError, match="^private side does not regenerate"):
+            certify_collision(toy_priv._replace(**{field: value}), toy_pub, msg, msg)
+    assert consistency_checks == []
+
+
 def test_validate_reports_cofactor_informatively():
     pub = bundled_public_params()
     info = {c.name: c for c in validate(pub).checks if c.informative}
@@ -848,6 +910,26 @@ def test_batch_test_charges_the_context(pair80):
     before = ctx.mulcount
     params._initial_values_consistent(ctx, pub, priv)
     assert ctx.mulcount > before
+
+
+def test_certify_on_a_pair_checked_by_one_batch_round(pair80, consistency_checks, monkeypatch):
+    pub, priv = pair80[0]._replace(), pair80[1]
+    rounds = []
+    real = params._batch_consistent
+
+    def counting(*args):
+        rounds.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(params, "_batch_consistent", counting)
+    rng = random.Random(80)
+    msgs = [BitString.from_int(rng.getrandbits(32) | 1, 32) for _ in range(20)]
+    assert certify_collision(priv, pub, msgs[0], msgs[0]).holds
+    for m1, m2 in zip(msgs, msgs[1:]):
+        assert certify_collision(priv, pub, m1, m2).holds == (digest(pub, m1) == digest(pub, m2))
+    assert len(rounds) == 1 and consistency_checks == [(pub, priv)]
+    with pytest.raises(InconsistentParamsError):
+        certify_collision(priv._replace(delta=priv.delta + 2), pub, msgs[0], msgs[1])
 
 
 def test_values_outside_the_group_are_recomputed_exactly(toy_pub, toy_priv):

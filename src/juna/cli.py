@@ -36,9 +36,7 @@ def _echo(key, value):
 def _resolve_seed(args) -> int:
     seed = args.seed
     if seed is None:
-        import secrets
-
-        seed = secrets.randbits(64)
+        seed = int.from_bytes(os.urandom(8), "big")
     _echo("seed", seed)
     return seed
 

@@ -158,9 +158,8 @@ def pow_muls(e: int) -> int:
 
 
 # ModContext.bit_products' window: one byte of the exponent, so that its
-# digits come from to_bytes; and for each bit j the digits that have it set.
+# digits come from to_bytes.
 _WINDOW = 8
-_DIGITS_WITH_BIT = tuple(tuple(d for d in range(1 << _WINDOW) if d >> j & 1) for j in range(_WINDOW))
 
 
 class ModContext:
@@ -263,8 +262,10 @@ class ModContext:
 
         Per 8-bit window, a byte of one to_bytes of the exponent, each base
         goes into the bucket of its digit (the bucket step of Pippenger's
-        method); S_k is the product of the buckets at the 128 digits with the
-        bit set, a tuple made once.  The full product is prod S_k**(2**k), by
+        method), and Yates's halving fold reads the bits from the lowest up:
+        S_k is the product of the odd-indexed buckets, and each even bucket
+        times its odd neighbour is the bucket of their digit shifted right by
+        one, for the next bit.  The full product is prod S_k**(2**k), by
         Horner's rule at 2 multiplications per bit.  Every multiplication
         done is ticked, once per call.
         """
@@ -279,13 +280,15 @@ class ModContext:
                     muls += 1
         per_bit = []
         for bucket in buckets:
-            for having in _DIGITS_WITH_BIT:
+            for j in range(min(_WINDOW, bits - len(per_bit))):
+                if j:
+                    bucket = [a * b % M for a, b in zip(bucket[::2], bucket[1::2])]
+                    muls += len(bucket)
                 s = 1
-                for d in having:
-                    s = s * bucket[d] % M
+                for b in bucket[1::2]:
+                    s = s * b % M
                 per_bit.append(s)
-        muls += len(per_bit) << (_WINDOW - 1)  # half the digits have bit j set
-        per_bit = per_bit[:bits]
+                muls += len(bucket) // 2
         acc = 1
         for s in reversed(per_bit):
             acc = acc * acc % M * s % M

@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import os
 from collections import namedtuple
 
 from . import coprime
@@ -278,7 +279,7 @@ def _cofactor_structure(q: int, bound: int) -> tuple[bool, str]:
     return True, f"no prime factor of (M-1)/2 up to {bound}"
 
 
-# Bits of each random exponent r_i of the batch test of the initial values.
+# Bits of each exponent r_i of the batch test: one unsigned 64-bit "Q" of os.urandom.
 BATCH_BITS = 64
 
 
@@ -328,12 +329,10 @@ def _initial_values_consistent(ctx, pub, priv) -> tuple[bool, str]:
     """Whether the private side gives pub.C, and the detail line.
 
     With M a safe prime and every C_i, A_i and W a unit mod M, this is the
-    batch test with fresh exponents from `secrets`, repeated _batch_rounds(q)
-    times; it passes wrong initial values with probability at most
-    2**-BATCH_BITS.  Otherwise the values are recomputed exactly.
+    batch test, repeated _batch_rounds(q) times, each on n exponents cut from
+    one os.urandom read; it passes wrong initial values with probability at
+    most 2**-BATCH_BITS.  Otherwise the values are recomputed exactly.
     """
-    import secrets
-
     M, q = ctx.M, ctx.q
     in_group = (
         len(pub.C) == len(priv.A)
@@ -345,7 +344,7 @@ def _initial_values_consistent(ctx, pub, priv) -> tuple[bool, str]:
         return _compute_initial_values(ctx, priv.A, priv.ell, priv.W, priv.delta) == pub.C, ""
     rounds = _batch_rounds(q)
     ok = all(
-        _batch_consistent(ctx, pub.C, priv, [secrets.randbits(BATCH_BITS) for _ in pub.C])
+        _batch_consistent(ctx, pub.C, priv, list(memoryview(os.urandom(8 * len(pub.C))).cast("Q")))
         for _ in range(rounds)
     )
     return ok, f"batch test, {rounds} round{'s' * (rounds > 1)}, miss probability at most 2^-{BATCH_BITS}"

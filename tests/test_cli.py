@@ -546,18 +546,24 @@ def test_birthday_search_output_is_pinned():
 
 
 # What hash and validate never run, or load only through what they never run
-UNUSED_BY_HASH = {"dataclasses", "inspect", "typing", "secrets", "fractions",
+UNUSED_BY_HASH = {"dataclasses", "inspect", "typing", "secrets", "hmac", "fractions",
                   "juna.attacks", "juna.chp", "juna.reform"}
 
 
-@pytest.mark.parametrize("command", ["hash", "validate"])
-def test_hash_and_validate_processes_load_only_what_they_run(command):
+@pytest.mark.parametrize("command", ["hash", "validate", "validate --priv"])
+def test_hash_and_validate_processes_load_only_what_they_run(command, tmp_path, capsys):
     # -S keeps out what a site hook preloads; -X importtime lists every
     # module the process imported itself, one per stderr line
     bundled = Path(params.__file__).parent / "data" / "m80_n256.pub"
     argv = [command, "--pub", str(bundled)]
     if command == "hash":
         argv += ["--msg-hex", "a5" * 32, "--bits", "256"]
+    if command == "validate --priv":  # the audit, whose batch test draws its exponents
+        pub, priv = str(tmp_path / "t.pub"), str(tmp_path / "t.priv")
+        assert main(["keygen", "--seed", "3", "--m", "12", "--n", "8", "--nbar", "8", "--p-bits", "10",
+                     "--test-mode", "--out-pub", pub, "--out-priv", priv]) == 0
+        capsys.readouterr()
+        argv = ["validate", "--pub", pub, "--priv", priv]
     env = dict(os.environ, PYTHONPATH=str(Path(params.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-S", "-X", "importtime", "-m", "juna.cli", *argv],
@@ -569,6 +575,8 @@ def test_hash_and_validate_processes_load_only_what_they_run(command):
     assert sorted(imported & UNUSED_BY_HASH) == []
     if command == "hash":
         assert proc.stdout == "digest=468e432aca166325f4cb\nmulcount=132\npadded=false\n"
+    if command == "validate --priv":
+        assert "PASS initial_values_consistent (batch test, 6 rounds" in proc.stdout
 
 
 # stdout of chp setup at 512 bits, where the Lucas half of Baillie-PSW

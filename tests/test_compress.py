@@ -12,7 +12,7 @@ from juna.errors import (
     LengthMismatchError,
     ZeroMessageError,
 )
-from juna.keyfile import PublicParams
+from juna.keyfile import PublicParams, load
 from juna.params import initialize
 
 from compress_oracle import digest_oracle
@@ -125,6 +125,43 @@ def test_worst_case_witnesses_cost_n_plus_1(n):
         before = ctx.mulcount
         digest(pub, BitString.from_string(text), ctx)
         assert ctx.mulcount - before == n + 1, text[:8]
+
+
+def _benchmark_messages(n: int, rng: random.Random) -> list[BitString]:
+    """The bulk digest benchmark's three classes (uniform, 1-8 set bits,
+    0-8 cleared bits), after all ones, the n + 1 witness 11...10 and a
+    single leading 1-bit."""
+    ones = (1 << n) - 1
+    values = [ones, ones - 1, 1 << (n - 1)]
+    for _ in range(12):
+        values.append(rng.getrandbits(n) or 1)
+        values.append(sum(1 << b for b in rng.sample(range(n), rng.randint(1, 8))))
+        values.append(ones ^ sum(1 << b for b in rng.sample(range(n), rng.randint(0, 8))))
+    return [BitString(v, n) for v in values]
+
+
+@pytest.mark.parametrize("key", ["bundled-80-256", "seed4096-232-4096"])
+def test_digest_and_count_do_not_depend_on_earlier_digests(key, reference_pub, request):
+    # a traced and an untraced run of the same inputs share nothing but the
+    # context: a table or cache built on first use and charged to it would
+    # give the same message a different value or count in the second pass
+    pub = reference_pub
+    if key.startswith("seed4096"):
+        pub = load(request.getfixturevalue("keygen_4096")[1])
+    ctx = pub.context()
+    msgs = _benchmark_messages(pub.n, random.Random(pub.n))
+
+    def run(order):
+        out = {}
+        for i in order:
+            before = ctx.mulcount
+            d = digest(pub, msgs[i], ctx)
+            out[i] = (d.value, ctx.mulcount - before)
+        return out
+
+    forward = run(range(len(msgs)))
+    assert run(reversed(range(len(msgs)))) == forward
+    assert [used for _, used in forward.values()] == [expected_muls(m) for m in msgs]
 
 
 @st.composite

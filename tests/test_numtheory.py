@@ -349,7 +349,10 @@ def _bits_of_exponents(pairs, bits, M):
     return out
 
 
-@pytest.mark.parametrize("M, bits", [(1019, 64), (1019, 13), (REFERENCE_M, 64), (REFERENCE_M, 1)])
+@pytest.mark.parametrize(
+    "M, bits",
+    [(1019, 64), (1019, 13), (1019, 8), (1019, 9), (REFERENCE_M, 64), (REFERENCE_M, 1), (_M232, 64)],
+)
 def test_bit_products_agree_with_pow(M, bits):
     ctx = ModContext(M)
     rng = random.Random(bits)
@@ -362,10 +365,12 @@ def test_bit_products_agree_with_pow(M, bits):
         product, per_bit = ctx.bit_products(pairs, bits)
         assert product == expected
         assert per_bit == _bits_of_exponents(pairs, bits, M)
-        # each nonzero 8-bit digit, the subsets, and Horner's 2 per bit
-        windows = -(-bits // 8)
+        # each nonzero 8-bit digit; for bit k, at step j = k % 8 of its
+        # window, a fold of 2 * (256 >> j) buckets into 256 >> j when j > 0,
+        # and S_k over the 128 >> j odd ones; and Horner's 2 per bit
         digits = sum(1 for _, e in pairs for s in range(0, bits, 8) if e >> s & 255)
-        assert ctx.mulcount - before == digits + windows * 8 * 128 + 2 * bits
+        halving = sum((128 >> k % 8) + (256 >> k % 8 if k % 8 else 0) for k in range(bits))
+        assert ctx.mulcount - before == digits + halving + 2 * bits
 
 
 def test_square_multiply_matches_loop_oracle():

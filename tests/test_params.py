@@ -831,7 +831,7 @@ def test_batch_test_catches_each_mutation(fixture, request):
     assert params._initial_values_consistent(ctx, pub, priv)[0]
     for name, C, bad_priv in _mutations(pub, priv):
         bad_pub = pub._replace(C=tuple(C))
-        # the full audit, with exponents from secrets
+        # the full audit, with exponents from os.urandom
         ok, detail = params._initial_values_consistent(ctx, bad_pub, bad_priv)
         assert not ok and detail.startswith("batch test"), name
         assert "FAIL initial_values_consistent" in " ".join(validate(bad_pub, bad_priv).lines())

@@ -35,9 +35,10 @@ def _check_header(m: int, n: int, M: int):
 class PublicParams(namedtuple("PublicParams", "m n M C")):
     """Everything the compressor needs: modulus, widths, initial values.
 
-    The one record with an instance __dict__, which caches context() and the
-    private record certify_collision last found consistent, by a check that at
-    a safe prime misses with probability <= 2**-64; fields stay read-only."""
+    The one record with an instance __dict__, with three caches: context(), the
+    digest's table of inverses, and the private record certify_collision last
+    found consistent (a check that at a safe prime misses with probability
+    <= 2**-64); fields stay read-only."""
 
     def __new__(cls, m: int, n: int, M: int, C: tuple[int, ...]):
         _check_header(m, n, M)

@@ -8,11 +8,21 @@ Only 1-bits have nonzero shadows, so an encoding is held as the 1-bits'
 positions grouped by count.  Both encodings are injective on nonzero
 strings of even length, and the shadow sums are pinned exactly: shadows
 add up to n, long shadows to something between n and 2n.
+
+The codec walks the rarer bit.  A 1-bit right after a 1-bit has shadow 1,
+and long shadow 2 when its partner is set.  Only the first 1-bit and, for
+each zero bit, the 1-bit that ends its zero run and its partner can differ
+from that common level.  So a message with fewer than n / _ZERO_WALK zero
+bits is encoded in steps per zero bit, and any other in one step per 1-bit;
+both give the same encoding.  On the benchmark's digest-4096 mix, 15% dense,
+that raised digests per second by 9.0% (BENCH_35.json).
 """
 
 from __future__ import annotations
 
+import re
 from collections import defaultdict, namedtuple
+from functools import lru_cache
 from itertools import repeat
 
 from .errors import (
@@ -30,6 +40,9 @@ MAX_BITS = 4096
 # 0x90 + 2 * bit + partner, for a 1-bit, to its partner
 _PARTNER = bytes.maketrans(b"\x92\x93", b"\x00\x01")
 _HEX_DIGITS = b"0123456789abcdefABCDEF"
+# Below n / _ZERO_WALK zero bits the codec walks the zeros: the walks' long-shadow
+# times cross near n / 10.7 zero bits at n = 256 and at n = 4096
+_ZERO_WALK = 11
 
 
 def leading_bits(data: str | bytes, take: int | None = None) -> tuple[int, int]:
@@ -157,6 +170,48 @@ def _encode(bits: str, partners) -> ShadowString:
     return tuple.__new__(ShadowString, (len(bits), dict(groups)))  # valid by construction
 
 
+def _encode_zeros(bits: str, doubled: bool) -> ShadowString:
+    """_encode in steps per zero bit, for the long shadows when doubled: the
+    1-bits that can differ from the common level are valued one by one, and
+    the common level is sliced, ascending, from the stretches between them
+    and the zero bits."""
+    n, half = len(bits), len(bits) // 2
+    zeros = [hit.start() for hit in re.finditer("0", bits)]
+    shadow, run = {}, 0
+    for p, q in zip(zeros, zeros[1:] + [n]):
+        run += 1
+        if q > p + 1:  # p ends a zero run, which the 1-bit p + 1 takes in
+            shadow[p + 1], run = run + 1, 0
+    first = bits.find("1")
+    shadow[first] = first + n - bits.rfind("1")  # 1 + the leading and trailing zeros
+    if doubled:
+        # a negative index wraps round, so bits[p - half] is p's partner
+        partners = {(p + half) % n: 1 for p in zeros if bits[p - half] == "1"}
+        shadow = {p: s << (bits[p - half] == "1") for p, s in (partners | shadow).items()}
+    common = 1 + doubled
+    odd = sorted(p for p, s in shadow.items() if s != common)
+    positions, level, lo = _positions(n), [], 0
+    for p in sorted(zeros + odd):
+        level += positions[lo:p]
+        lo = p + 1
+    level += positions[lo:]
+    groups = {common: level} if level else {}
+    for p in odd:
+        groups.setdefault(shadow[p], []).append(p)
+    return tuple.__new__(ShadowString, (n, groups))  # valid by construction
+
+
+@lru_cache(maxsize=4)
+def _positions(n: int) -> tuple[int, ...]:
+    """0, ..., n - 1, made once per n, for the zero walk to slice."""
+    return tuple(range(n))
+
+
+def _few_zeros(msg: BitString) -> bool:
+    """Whether msg takes the zero walk."""
+    return _ZERO_WALK * (msg.n - msg.value.bit_count()) < msg.n
+
+
 def _drawn(value: int, n: int) -> BitString:
     """BitString(value, n) unchecked, for a nonzero n-bit draw at a PublicParams n."""
     return tuple.__new__(BitString, (value, n))
@@ -183,13 +238,16 @@ def bit_shadow(msg: BitString) -> ShadowString:
     run of zeros after the rightmost 1-bit, so every zero is charged to
     exactly one 1-bit and the counts sum to n.
     """
-    return _encode(str(msg), repeat(0))
+    bits = str(msg)
+    return _encode_zeros(bits, False) if _few_zeros(msg) else _encode(bits, repeat(0))
 
 
 def bit_long_shadow(msg: BitString) -> ShadowString:
     """Long-shadow encoding: each shadow doubles when the bit halfway
     across the string is set."""
     s = str(msg)
+    if _few_zeros(msg):
+        return _encode_zeros(s, True)
     half = len(s) // 2
     b = s.encode()
     # rotating by half lines each bit up with its partner

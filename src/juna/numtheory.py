@@ -9,6 +9,7 @@ measured rather than asserted.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import threading
@@ -265,7 +266,8 @@ class ModContext:
         method), and Yates's halving fold reads the bits from the lowest up:
         S_k is the product of the odd-indexed buckets, and each even bucket
         times its odd neighbour is the bucket of their digit shifted right by
-        one, for the next bit.  The full product is prod S_k**(2**k), by
+        one, for the next bit; both skip any product by 1, as most buckets
+        stay 1 at small n.  The full product is prod S_k**(2**k), by
         Horner's rule at 2 multiplications per bit.  Every multiplication
         done is ticked, once per call.
         """
@@ -273,6 +275,13 @@ class ModContext:
         windows = -(-bits // _WINDOW)
         buckets = [[1] * (1 << _WINDOW) for _ in range(windows)]
         muls = 0
+
+        def times(a, b):
+            nonlocal muls
+            if a == 1 or b == 1:
+                return a * b
+            muls += 1
+            return a * b % M
         for base, e in pairs:
             for bucket, d in zip(buckets, e.to_bytes(windows, "little")):
                 if d:
@@ -282,13 +291,8 @@ class ModContext:
         for bucket in buckets:
             for j in range(min(_WINDOW, bits - len(per_bit))):
                 if j:
-                    bucket = [a * b % M for a, b in zip(bucket[::2], bucket[1::2])]
-                    muls += len(bucket)
-                s = 1
-                for b in bucket[1::2]:
-                    s = s * b % M
-                per_bit.append(s)
-                muls += len(bucket) // 2
+                    bucket = list(map(times, bucket[::2], bucket[1::2]))
+                per_bit.append(functools.reduce(times, bucket[1::2], 1))
         acc = 1
         for s in reversed(per_bit):
             acc = acc * acc % M * s % M

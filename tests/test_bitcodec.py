@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from juna import bitcodec
 from juna.attacks import BirthdayStats, CollisionPair, SubsetSumInstance
 from juna.bitcodec import (
     MAX_BITS,
@@ -348,6 +349,53 @@ def test_codec_matches_dense_oracle_exhaustive():
 @given(_MESSAGES)
 def test_fuzz_codec_matches_dense_oracle(case):
     check_codec(BitString.from_int(*case))
+
+
+def _all_ones_but(n, zeros):
+    return BitString(((1 << n) - 1) & ~sum(1 << (n - 1 - j) for j in zeros), n)
+
+
+# (kind, position, size): zero bits at a partner pair, a run of up to 512 adjacent
+# zeros, one of the edge positions 0, 1, n/2 - 1, n/2 and n - 1, or one position
+_DENSE_PARTS = st.tuples(st.sampled_from(["pair", "run", "edge", "one"]),
+                         st.integers(0, MAX_BITS - 1), st.integers(1, 512))
+
+
+@st.composite
+def _dense_messages(draw):
+    """All ones at an even n in [4, 4096] but fewer than n / 4 zero bits, both
+    sides of the zero walk's switch; each part that would reach n / 4 is left out."""
+    n = 2 * draw(st.integers(MIN_BITS // 2, MAX_BITS // 2))
+    half, zeros = n // 2, set()
+    for kind, j, size in draw(st.lists(_DENSE_PARTS, max_size=24)):
+        j %= n
+        part = {"pair": {j, (j + half) % n}, "run": set(range(j, min(n, j + size))),
+                "edge": {(0, 1, half - 1, half, n - 1)[size % 5]}, "one": {j}}[kind]
+        if 4 * len(zeros | part) < n:
+            zeros |= part
+    return _all_ones_but(n, zeros)
+
+
+@_FUZZ
+@given(_dense_messages())
+def test_fuzz_codec_matches_dense_oracle_on_dense_messages(msg):
+    check_codec(msg)
+
+
+@pytest.mark.parametrize("n", [4, 8, 256, 4096])
+def test_codec_on_both_sides_of_the_zero_walk_switch(n):
+    half = n // 2
+    run = {(half - 4 + k) % n for k in range(min(8, n - 1))}  # across the middle
+    cases = [set(), {0, half}, run] + [{j} for j in (0, 1, half - 1, half, n - 1)]
+    for case in cases:
+        check_codec(_all_ones_but(n, case))
+    # z one below the switch takes the zero walk, and z at it the one walk
+    z = -(-n // bitcodec._ZERO_WALK)
+    rng = random.Random(n)
+    for zeros, walk in ((z - 1, True), (z, False)):
+        msg = _all_ones_but(n, rng.sample(range(n), zeros))
+        assert bitcodec._few_zeros(msg) is walk
+        check_codec(msg)
 
 
 def test_one_bit_message_is_one_group():

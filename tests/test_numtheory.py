@@ -349,6 +349,27 @@ def _bits_of_exponents(pairs, bits, M):
     return out
 
 
+def _fold_products_past_one(pairs, bits, M):
+    """The products of two factors other than 1 in the halving folds and the
+    S_k of bit_products, over each window's buckets filled here digit by digit."""
+    count = 0
+    for low in range(0, bits, 8):
+        bucket = [1] * 256
+        for base, e in pairs:
+            if d := e >> low & 255:
+                bucket[d] = bucket[d] * base % M
+        for j in range(min(8, bits - low)):
+            if j:
+                evens, odds = bucket[::2], bucket[1::2]
+                count += sum(a != 1 and b != 1 for a, b in zip(evens, odds))
+                bucket = [a * b % M for a, b in zip(evens, odds)]
+            s = 1
+            for b in bucket[1::2]:
+                count += s != 1 and b != 1
+                s = s * b % M
+    return count
+
+
 @pytest.mark.parametrize(
     "M, bits",
     [(1019, 64), (1019, 13), (1019, 8), (1019, 9), (REFERENCE_M, 64), (REFERENCE_M, 1), (_M232, 64)],
@@ -365,12 +386,16 @@ def test_bit_products_agree_with_pow(M, bits):
         product, per_bit = ctx.bit_products(pairs, bits)
         assert product == expected
         assert per_bit == _bits_of_exponents(pairs, bits, M)
-        # each nonzero 8-bit digit; for bit k, at step j = k % 8 of its
-        # window, a fold of 2 * (256 >> j) buckets into 256 >> j when j > 0,
-        # and S_k over the 128 >> j odd ones; and Horner's 2 per bit
+        # each nonzero 8-bit digit, the fold's and the S_k's products of two
+        # factors other than 1, and Horner's 2 per bit; never more than with
+        # every fold product done: for bit k, at step j = k % 8 of its window,
+        # 2 * (256 >> j) buckets into 256 >> j when j > 0, and S_k over the
+        # 128 >> j odd ones
         digits = sum(1 for _, e in pairs for s in range(0, bits, 8) if e >> s & 255)
         halving = sum((128 >> k % 8) + (256 >> k % 8 if k % 8 else 0) for k in range(bits))
-        assert ctx.mulcount - before == digits + halving + 2 * bits
+        folds = _fold_products_past_one(pairs, bits, M)
+        assert ctx.mulcount - before == digits + folds + 2 * bits
+        assert folds <= halving
 
 
 def test_square_multiply_matches_loop_oracle():

@@ -6,36 +6,26 @@ whole message space has no split point, but subspaces with 1-bits fixed at
 block starts do: the digest factors over the blocks, so Merkle and
 Hellman's meet-in-the-middle (1981) applies there (ROADMAP item 1; not run
 here).  The birthday harness truncates digests so that collisions are
-reachable at desk scale; truncation is a testing aid, not a mode of the
-hash.
+reachable at desk scale (a testing aid, not a mode of the hash), and walks a
+Gray code in one process: a one-bit flip moves at most three long shadows,
+so each trial's digest is the last one times at most three small powers.
 """
 
 from __future__ import annotations
 
-import functools
 from bisect import bisect_left
 from collections import namedtuple
 from itertools import combinations
 
 from .bitcodec import BitString, _drawn, bit_long_shadow, random_messages
-from .compress import digest
+from .compress import _inverse_table, digest
 from .errors import DomainError, InstanceTooLargeError, ParseError
-from ._procs import Replayed, part_count
 from .keyfile import PublicParams
 
 MITM_CAP = 40
 COLLISION_CAP = 12
 
 BIRTHDAY_COEFFICIENT = 1.1774  # sqrt(2 ln 2), inputs for a 50% collision
-
-# Messages per chunk of birthday_search's stream, and the least expected
-# work, in message bits digested, per process of a forked search.  A fork,
-# its pipe, its copy-on-write faults and its reaping cost 3-5 ms per search
-# on a 2-vCPU Xeon with Python 3.11; 2**16 bits are 256 digests at n = 256,
-# about 20 ms there.  A search forks only from 2**17 expected bits: the
-# bundled parameters from 18 masked bits and n = 32 from 24.
-SEARCH_CHUNK = 64
-MIN_SEARCH_WORK = 1 << 16
 
 # Caps on an instance file; both lie far above any instance the solvers
 # take, and the digit cap below Python's 4300-digit int() limit.
@@ -147,67 +137,76 @@ def check_birthday(pub: PublicParams, mask_bits: int, budget: int) -> None:
         raise DomainError("budget must be at least 1")
 
 
-def _record(pub: PublicParams, mask: int, v: int) -> int:
-    """(multiplications << mask_bits) | truncated digest of message v."""
-    ctx = pub.context()
-    before = ctx.mulcount
-    t = digest(pub, _drawn(v, pub.n), ctx).value & mask
-    return (ctx.mulcount - before) << mask.bit_length() | t
+def _long_shadow(v: int, n: int, b: int) -> int:
+    """The long shadow of int bit b (position n - 1 - b) of the nonzero
+    n-bit message v, read from v alone."""
+    if not v >> b & 1:
+        return 0
+    above = v >> b + 1
+    shadow = (above & -above).bit_length() if above else n - b + (v & -v).bit_length() - 1
+    return shadow << (v >> (b + n // 2) % n & 1)
 
 
-def birthday_search(
-    pub: PublicParams, mask_bits: int, budget: int, seed: int
-) -> BirthdayStats:
-    """Draw random nonzero messages until two share a truncated digest.
+def _flip(pub: PublicParams, ctx, v: int, d: int, j: int) -> tuple[int, int]:
+    """v with int bit j flipped and its digest, from v's digest d (neither
+    message 0).  Only the long shadows of bit j, its partner and the next 1-bit
+    below j (or the top 1-bit, if none) move; each change D goes into one
+    grouped_pow by |D|, over C_i for D > 0 and C_i**-1 for D < 0, joined to d
+    by one mod_mul.  For c changes over magnitudes e_1 > ... > e_r, e_(r+1) = 0,
+    that is c + r - 1 + sum pow_muls(e_i - e_(i+1)) products, at most
+    sum (2 pow_muls(|D|) + 2) - 1: Yao's gaps can cost more than the bare
+    powers, {8, 1} 7 against pow_muls(8) + pow_muls(1) + 2 = 5."""
+    n, C = pub.n, pub.C
+    inverses = _inverse_table(pub)[1]
+    w = v ^ 1 << j
+    rest = v & w
+    below = rest & (1 << j) - 1
+    bases, groups = [], {}
+    for b in {j, (j + n // 2) % n, (below or rest).bit_length() - 1}:
+        if delta := _long_shadow(w, n, b) - _long_shadow(v, n, b):
+            groups.setdefault(abs(delta), []).append(len(bases))
+            bases.append((C if delta > 0 else inverses)[n - 1 - b])
+    return w, ctx.mod_mul(d, ctx.grouped_pow(bases, groups))
+
+
+def birthday_search(pub: PublicParams, mask_bits: int, budget: int, seed: int) -> BirthdayStats:
+    """Try nonzero messages until two share a truncated digest.
 
     Digests are truncated to their low mask_bits bits purely so that
-    collisions become reachable in a test run; messages come from the
-    rng seeded with seed.
-
-    The stream is cut into chunks of SEARCH_CHUNK messages, and chunk j is
-    digested by process j % W through _procs.Replayed, for W processes from
-    _procs.part_count with at least MIN_SEARCH_WORK of the expected
-    min(budget, threshold) * n each.  The W - 1 children replay the stream
-    and send back each digest's truncated value and count; this process
-    draws every message, digests its own chunks and those of a child that
-    ended, and checks the table strictly in stream order, charging the
-    context a child's count only for the records it checks.  So the result
-    and the count are those of one process for every W.
+    collisions become reachable in a test run.  The first message, the first
+    nonzero draw of random.Random(seed), is digested whole; the others walk
+    the reflected Gray code over its last min(n, budget.bit_length()) bits,
+    trial t + 1 flipping int bit (t & -t).bit_length() - 1, each digest taken
+    from the last by _flip (Yuval, "How to swindle Rabin", Cryptologia 1979).
+    The zero message is no trial; the one after it is digested whole, as is
+    every message of a key with no inverse table.  The search ends at a
+    collision, after budget trials or once every nonzero message was tried.
     """
     check_birthday(pub, mask_bits, budget)
     n = pub.n
     mask = (1 << mask_bits) - 1
     ctx = pub.context()
+    flips = _inverse_table(pub) is not None
     seen: dict[int, int] = {}
     threshold = BIRTHDAY_COEFFICIENT * 2 ** (mask_bits / 2)
-    workers = part_count(int(min(budget, threshold) * n), MIN_SEARCH_WORK)
-    width = (mask_bits + 32 + 7) // 8  # bytes per record, 32 bits for the count
-    stream = functools.partial(random_messages, seed, n, budget)
-    compute = functools.partial(_record, pub, mask)
-    with Replayed(stream, compute, workers, SEARCH_CHUNK, width) as messages:
-        for trials, (v, record) in enumerate(messages, 1):
-            if record is None:
-                t = digest(pub, _drawn(v, n), ctx).value & mask
-            else:
-                ctx._tick(record >> mask_bits)
-                t = record & mask
-            prior = seen.setdefault(t, v)
-            if prior != v:
-                return BirthdayStats(
-                    trials=trials,
-                    collision=(BitString.from_int(prior, n), BitString.from_int(v, n)),
-                    threshold=threshold,
-                    seed=seed,
-                    mask_bits=mask_bits,
-                    collision_value=t,
-                )
-    return BirthdayStats(
-        trials=budget,
-        collision=None,
-        threshold=threshold,
-        seed=seed,
-        mask_bits=mask_bits,
-    )
+    start = next(random_messages(seed, n, 1))
+    v = d = trials = 0  # v is 0 before the first message and after the zero one
+    for t in range(1 << min(n, budget.bit_length())):
+        u = start ^ t ^ t >> 1
+        if not u:
+            v = 0
+            continue
+        if v and flips:
+            v, d = _flip(pub, ctx, v, d, (t & -t).bit_length() - 1)
+        else:
+            v, d = u, digest(pub, _drawn(u, n), ctx).value
+        trials += 1
+        if seen.setdefault(d & mask, v) != v:
+            pair = (BitString.from_int(seen[d & mask], n), BitString.from_int(v, n))
+            return BirthdayStats(trials, pair, threshold, seed, mask_bits, d & mask)
+        if trials == budget:
+            break
+    return BirthdayStats(trials, None, threshold, seed, mask_bits)
 
 
 class CollisionPair(namedtuple("CollisionPair", "msg1 msg2 digest_value ydiff product_is_one")):

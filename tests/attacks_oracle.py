@@ -2,8 +2,9 @@
 
 Exhaustive subset-sum search is the oracle for the meet-in-the-middle
 solver: it enumerates assignments with bound pruning and shares no code
-with the sorted-table split of juna.attacks.mitm_subset_sum.  The serial
-birthday loop is the oracle for the forked birthday search.  The knapsack
+with the sorted-table split of juna.attacks.mitm_subset_sum.  The Gray
+walk that digests every message whole is the oracle for the birthday
+search, which takes each digest from the last.  The knapsack
 density is the figure README quotes for the additive problem.
 """
 
@@ -75,22 +76,29 @@ def brute_force_solve(
 
 
 def birthday_search_serial(pub, mask_bits: int, budget: int, seed: int) -> BirthdayStats:
-    """juna.attacks.birthday_search in one process: draw, digest and check
-    each message in turn, the loop the forked search must reproduce."""
+    """juna.attacks.birthday_search with every message digested whole: the
+    first nonzero draw of random.Random(seed) xor each Gray code t ^ (t >> 1)
+    in turn, the zero message skipped, until a collision, budget trials or
+    the end of the n-bit space."""
     check_birthday(pub, mask_bits, budget)
     n = pub.n
     mask = (1 << mask_bits) - 1
     rng = random.Random(seed)
     seen: dict[int, int] = {}
     threshold = BIRTHDAY_COEFFICIENT * 2 ** (mask_bits / 2)
+    start = 0
+    while start == 0:
+        start = rng.getrandbits(n)
 
-    for trials in range(1, budget + 1):
-        v = 0
-        while v == 0:
-            v = rng.getrandbits(n)
+    trials = 0
+    for t in range(1 << n):
+        v = start ^ t ^ (t >> 1)
+        if v == 0:
+            continue
+        trials += 1
         msg = BitString.from_int(v, n)
-        t = digest(pub, msg).value & mask
-        prior = seen.setdefault(t, v)
+        value = digest(pub, msg).value & mask
+        prior = seen.setdefault(value, v)
         if prior != v:
             return BirthdayStats(
                 trials=trials,
@@ -98,10 +106,12 @@ def birthday_search_serial(pub, mask_bits: int, budget: int, seed: int) -> Birth
                 threshold=threshold,
                 seed=seed,
                 mask_bits=mask_bits,
-                collision_value=t,
+                collision_value=value,
             )
+        if trials == budget:
+            break
     return BirthdayStats(
-        trials=budget, collision=None, threshold=threshold, seed=seed, mask_bits=mask_bits
+        trials=trials, collision=None, threshold=threshold, seed=seed, mask_bits=mask_bits
     )
 
 

@@ -1,28 +1,31 @@
+import functools
 import os
 import random
 import threading
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from juna import attacks
+from juna import attacks, keyfile
 from juna.attacks import (
     MAX_INSTANCE_DIGITS,
-    SEARCH_CHUNK,
     SubsetSumInstance,
     birthday_search,
     brute_force_collision,
     mitm_subset_sum,
     parse_instance,
 )
+from juna.bitcodec import BitString, random_messages
 from juna.compress import digest
 from juna.errors import DomainError, InstanceTooLargeError, JunaError, ParseError
+from juna.keyfile import PublicParams, bundled_public_params
+from juna.numtheory import pow_muls
 
 from attacks_oracle import assp_density, birthday_search_serial, brute_force_solve
-from conftest import _affinity, _assert_left_clean, _process_state
+from shadow_oracle import dense_long_shadows
 
 
 def test_mitm_examples():
@@ -166,7 +169,8 @@ def test_birthday_full_width_at_toy_scale(toy_pub):
     assert digest(toy_pub, m1).value == digest(toy_pub, m2).value
 
 
-# The birthday search on forked workers, against the serial loop.
+# The birthday search walks a Gray code, each digest from the last by
+# attacks._flip; the oracle walks the same messages and digests each whole.
 
 
 def _counted(search, pub, *args):
@@ -176,98 +180,150 @@ def _counted(search, pub, *args):
     return search(pub, *args), ctx.mulcount - before
 
 
-@pytest.fixture
-def workers(monkeypatch):
-    """Sets the number of processes of every search in the test."""
+def _flip_cost(v, w, n):
+    """The long-shadow changes from v to w, by the dense oracle, and the
+    products _flip's one grouped_pow and one mod_mul cost for them:
+    c + r - 1 + sum pow_muls(e_i - e_(i+1)) for c changes over the r
+    magnitudes e_1 > ... > e_r, e_(r+1) = 0."""
+    old, new = (dense_long_shadows(format(x, f"0{n}b")) for x in (v, w))
+    changes = [b - a for a, b in zip(old, new) if a != b]
+    levels = sorted({abs(c) for c in changes}, reverse=True)
+    gaps = sum(pow_muls(e - below) for e, below in zip(levels, levels[1:] + [0]))
+    return changes, len(changes) + len(levels) - 1 + gaps
 
-    def set_count(k):
-        monkeypatch.setattr(attacks, "part_count", lambda work, least: k)
 
-    return set_count
+def _walk_messages(pub, seed, trials):
+    """The first `trials` messages birthday_search tries, by the closed-form
+    Gray code from its first draw."""
+    start = next(random_messages(seed, pub.n, 1))
+    walk = (start ^ t ^ t >> 1 for t in range(1 << pub.n))
+    return list(islice((v for v in walk if v), trials))
 
 
-def test_forked_search_is_the_serial_search_at_18_to_20_bits(reference_pub, workers, forks):
-    workers(2)
-    ends = set()
-    for mask_bits in (18, 19, 20):
-        for seed in range(8):
+def _logged_calls(monkeypatch):
+    """The (name, message) of each digest and _flip call the search makes
+    while the test runs, the message as an int."""
+    calls = []
+    real_digest, real_flip = attacks.digest, attacks._flip
+
+    def digested(pub, msg, ctx=None):
+        calls.append(("digest", msg.value))
+        return real_digest(pub, msg, ctx)
+
+    def flipped(*args):
+        out = real_flip(*args)
+        calls.append(("_flip", out[0]))
+        return out
+
+    monkeypatch.setattr(attacks, "digest", digested)
+    monkeypatch.setattr(attacks, "_flip", flipped)
+    return calls
+
+
+@functools.lru_cache(maxsize=4)
+def _random_key(n):
+    """A key of n random values below the bundled 80-bit prime modulus."""
+    M = bundled_public_params().M
+    rng = random.Random(n)
+    return PublicParams(m=80, n=n, M=M, C=tuple(rng.randrange(1, M) for _ in range(n)))
+
+
+@pytest.mark.parametrize("key", ["bundled", "m232_n4096"])
+def test_gray_walk_equals_digest_at_every_step(key, reference_pub, keygen_4096):
+    # every message of a Gray walk over 12 (or 8) free positions, among them
+    # 0, n/2 - 1, n/2 and n - 1, around one fixed 1-bit at n/4
+    pub = reference_pub if key == "bundled" else keyfile.load(keygen_4096[1])
+    n, h = pub.n, pub.n // 2
+    edges = [0, 1, h - 1, h, h + 1, n - 2, n - 1]
+    free = edges + ([2, h // 2 + 1, h - 2, h + 2, n - 3] if key == "bundled" else [h - 2])
+    ctx = pub.context()
+    v = 1 << (n - 1 - h // 2)
+    d = digest(pub, BitString(v, n)).value
+    flipped, firsts, lasts = set(), 0, 0
+    for t in range(1, 1 << len(free)):
+        p = free[(t & -t).bit_length() - 1]
+        before = ctx.mulcount
+        w, d = attacks._flip(pub, ctx, v, d, n - 1 - p)
+        assert w == v ^ 1 << (n - 1 - p)
+        assert ctx.mulcount - before == _flip_cost(v, w, n)[1] <= 2 * n
+        v = w
+        assert d == digest(pub, BitString(v, n)).value, (key, t)
+        flipped.add(p)
+        ones = v | 1 << (n - 1 - p)  # whichever message has p set
+        firsts += p == n - ones.bit_length()
+        lasts += p == n - 1 - ((ones & -ones).bit_length() - 1)
+    assert flipped >= set(edges) and firsts and lasts
+
+
+def _flip_case(draw):
+    n = 2 * draw(st.integers(2, 2048))
+    edges = st.sampled_from([0, 1, n // 2 - 1, n // 2, n - 1])
+    spots = draw(st.lists(st.one_of(edges, st.integers(0, n - 1)), min_size=1, max_size=6))
+    some = sum(1 << (n - 1 - p) for p in set(spots))
+    kind = draw(st.sampled_from(["uniform", "sparse", "dense"]))
+    if kind == "uniform":
+        v = draw(st.integers(0, (1 << n) - 1))
+    else:
+        v = some if kind == "sparse" else (1 << n) - 1 ^ some
+    return n, v, n - 1 - draw(st.one_of(edges, st.sampled_from(spots), st.integers(0, n - 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.composite(_flip_case)())
+def test_flip_is_digest_at_cost_within_the_yao_bound(case):
+    n, v, j = case
+    w = v ^ 1 << j
+    assume(v and w)
+    pub = _random_key(n)
+    ctx = pub.context()
+    d = digest(pub, BitString(v, n)).value
+    before = ctx.mulcount
+    got = attacks._flip(pub, ctx, v, d, j)
+    cost = ctx.mulcount - before
+    assert got == (w, digest(pub, BitString(w, n)).value)
+    changes, exact = _flip_cost(v, w, n)
+    # Yao's count can exceed sum (pow_muls(|D|) + 1) (changes {8, 1}: 7
+    # against 5); the bound holds as each gap <= e has pow_muls(gap) <=
+    # 2 pow_muls(e)
+    assert len(changes) <= 3
+    assert cost == exact <= sum(2 * pow_muls(abs(c)) + 2 for c in changes) - 1
+    assert cost <= 2 * n
+
+
+def test_walk_is_the_whole_digest_walk_at_8_to_20_bits(reference_pub):
+    for mask_bits in range(8, 21):
+        for seed in range(3):
             args = (mask_bits, 1 << 16, seed)
-            got = _counted(birthday_search, reference_pub, *args)
-            assert got == _counted(birthday_search_serial, reference_pub, *args), args
-            ends.add((got[0].trials - 1) // SEARCH_CHUNK % 2)
-    assert len(forks) == 24
-    assert ends == {0, 1}  # collisions in chunks of both processes
+            got = birthday_search(reference_pub, *args)
+            assert got == birthday_search_serial(reference_pub, *args), args
+            assert got.collision is not None
 
 
-@pytest.mark.parametrize("k", [2, 3])
-@pytest.mark.parametrize("budget", [1, SEARCH_CHUNK + 10, 2 * SEARCH_CHUNK + 10])
-def test_forked_search_spends_its_budget_as_the_serial_search(
-    reference_pub, workers, forks, monkeypatch, tmp_path, k, budget
+@pytest.mark.parametrize("mask_bits", [30, 80])
+@pytest.mark.parametrize("budget", [1, 74, 138])
+def test_walk_spends_its_budget_as_the_whole_digest_walk(
+    reference_pub, monkeypatch, budget, mask_bits
 ):
-    # no collision at 30 bits; the last chunk, of 10 messages, is the first
-    # child's at budget 74, and at budget 138 this process's at k = 2 and the
-    # second child's at k = 3
-    workers(k)
-    calls = os.open(tmp_path / "digests", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
-    real = attacks.digest
-
-    def counted(*args):
-        os.write(calls, b".")  # one byte per digest, from whichever process
-        return real(*args)
-
-    monkeypatch.setattr(attacks, "digest", counted)
-    args = (30, budget, 7)
-    try:
-        got = _counted(birthday_search, reference_pub, *args)
-    finally:
-        os.close(calls)
-    assert got[0].collision is None and got[0].trials == budget
-    assert got == _counted(birthday_search_serial, reference_pub, *args)
-    assert len(forks) == k - 1
-    # each message is digested once, by this process or by one child
-    assert (tmp_path / "digests").stat().st_size == budget
-
-
-def test_search_forks_only_from_two_processes_worth_of_work(
-    mid_pub, reference_pub, forks, monkeypatch
-):
-    asked, real = [], attacks.part_count
-
-    def spy(work, least):
-        asked.append(work // least)
-        return real(work, least)
-
-    monkeypatch.setattr(attacks, "part_count", spy)
-    for pub, mask_bits, budget in (
-        (mid_pub, 16, 5000),  # acceptance criterion 8's searches
-        (mid_pub, 20, 1 << 16),
-        (reference_pub, 17, 1 << 16),
-        (reference_pub, 30, 400),
-    ):
-        args = (mask_bits, budget, 3)
-        assert _counted(birthday_search, pub, *args) == _counted(birthday_search_serial, pub, *args)
-    assert forks == []
-    assert asked == [0, 0, 1, 1]
-    birthday_search(reference_pub, 18, 1 << 16, 3)
-    assert asked[-1] == 2
+    # no collision at 30 or 80 bits: one whole digest, then budget - 1 flips
+    calls = _logged_calls(monkeypatch)
+    args = (mask_bits, budget, 7)
+    got = birthday_search(reference_pub, *args)
+    assert got.collision is None and got.trials == budget
+    assert got == birthday_search_serial(reference_pub, *args)
+    assert [name for name, _ in calls] == ["digest"] + ["_flip"] * (budget - 1)
 
 
 @pytest.mark.parametrize("end", ["collision", "budget", "error"])
-def test_every_search_exit_reaps_its_children(
-    reference_pub, workers, forks, monkeypatch, setaffinity_calls, end
-):
-    workers(3)
-    before = _process_state()
-    parent, real, seen = os.getpid(), attacks.digest, []
+def test_search_never_forks(reference_pub, forks, monkeypatch, end):
+    real, steps = attacks._flip, []
 
-    def watched(pub, msg, ctx=None):
-        if os.getpid() == parent:
-            seen.append(_affinity())
-            if end == "error" and len(seen) > 100:
-                raise RuntimeError("this process fails in its second chunk")
-        return real(pub, msg, ctx)
+    def watched(*args):
+        steps.append(1)
+        if end == "error" and len(steps) > 100:
+            raise RuntimeError("the walk fails at its 101st step")
+        return real(*args)
 
-    monkeypatch.setattr(attacks, "digest", watched)
+    monkeypatch.setattr(attacks, "_flip", watched)
     if end == "error":
         with pytest.raises(RuntimeError):
             birthday_search(reference_pub, 30, 1 << 16, 3)
@@ -275,48 +331,62 @@ def test_every_search_exit_reaps_its_children(
         mask_bits, budget = (20, 1 << 16) if end == "collision" else (30, 300)
         stats = birthday_search(reference_pub, mask_bits, budget, 3)
         assert (stats.collision is None) == (end == "budget")
-    assert len(forks) == 2
-    _assert_left_clean(before)
-    # the caller's CPU set is never changed, not even while it digests
-    assert setaffinity_calls == []
-    assert seen and all(cpus == before[1] for cpus in seen)
+    assert forks == [] and steps
 
 
-@pytest.mark.parametrize("k, after", [(2, 0), (2, 70), (3, 70)])
-def test_a_child_that_exits_early_leaves_the_serial_result(
-    reference_pub, workers, forks, monkeypatch, k, after
-):
-    # each child leaves after `after` digests: at once, or in its second chunk
-    workers(k)
-    parent, real, done = os.getpid(), attacks.digest, []
+@pytest.mark.parametrize("budget", [255, 256, 4096])
+def test_toy_walk_tries_each_nonzero_message_once(reference_pub, monkeypatch, budget):
+    # 255 eight-bit messages do not collide at 80 bits, so the walk meets the
+    # zero message, digests the one after it whole, and ends at 255 trials
+    small = reference_pub._replace(n=8, C=reference_pub.C[:8])
+    calls = _logged_calls(monkeypatch)
+    stats = birthday_search(small, 80, budget, 5)
+    assert stats.collision is None and stats.trials == 255
+    assert sorted(v for _, v in calls) == list(range(1, 256))
+    assert [name for name, _ in calls].count("digest") == 2
+    assert stats == birthday_search_serial(small, 80, budget, 5)
 
-    def leaving(pub, msg, ctx=None):
-        if os.getpid() != parent:
-            if len(done) == after:
-                os._exit(0)
-            done.append(msg)
-        return real(pub, msg, ctx)
 
-    monkeypatch.setattr(attacks, "digest", leaving)
-    args = (20, 1 << 16, 11)
-    got = _counted(birthday_search, reference_pub, *args)
-    assert got[0].trials > SEARCH_CHUNK * 2 * k
-    assert got == _counted(birthday_search_serial, reference_pub, *args)
-    assert len(forks) == k - 1
+def test_walk_counts_each_trial_through_the_key_context(mid_pub, reference_pub):
+    # the first message's whole digest, then each flip's grouped_pow and
+    # mod_mul, all on the key's context: at most 2n a trial
+    for pub, mask_bits, budget in (
+        (mid_pub, 16, 5000),  # acceptance criterion 8's searches
+        (mid_pub, 20, 1 << 16),
+        (reference_pub, 17, 1 << 16),
+        (reference_pub, 30, 400),
+    ):
+        args = (mask_bits, budget, 3)
+        got, muls = _counted(birthday_search, pub, *args)
+        assert got == birthday_search_serial(pub, *args)
+        walk = _walk_messages(pub, 3, got.trials)
+        first = _counted(digest, pub, BitString(walk[0], pub.n))[1]
+        assert muls == first + sum(_flip_cost(v, w, pub.n)[1] for v, w in zip(walk, walk[1:]))
+        assert muls <= 2 * pub.n * got.trials
+
+
+def test_a_key_with_no_inverse_table_digests_every_message_whole(reference_pub, monkeypatch):
+    # C_4 = M makes T = prod C_i = 0 mod M, so there is no table of inverses:
+    # every message is digested whole, and the first with position 4 set (the
+    # ninth from seed 2) has digest 0, which digest refuses
+    C = reference_pub.C
+    pub = reference_pub._replace(n=8, C=C[:4] + (reference_pub.M,) + C[5:8])
+    monkeypatch.setattr(attacks, "_flip", None)
+    assert birthday_search(pub, 80, 8, 2) == birthday_search_serial(pub, 80, 8, 2)
+    with pytest.raises(DomainError, match="positive"):
+        birthday_search(pub, 80, 9, 2)
 
 
 def test_a_search_from_a_second_thread_never_forks(reference_pub, forks, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     args = (20, 1 << 16, 5)
     results = []
-    thread = threading.Thread(
-        target=lambda: results.append(_counted(birthday_search, reference_pub, *args))
-    )
+    thread = threading.Thread(target=lambda: results.append(birthday_search(reference_pub, *args)))
     thread.start()
     thread.join(timeout=60)
     assert not thread.is_alive()
     assert forks == []
-    assert results == [_counted(birthday_search_serial, reference_pub, *args)]
+    assert results == [birthday_search_serial(reference_pub, *args)]
 
 
 def test_brute_force_collision_identity(toy_pub):

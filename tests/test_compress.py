@@ -274,6 +274,28 @@ def test_digest_factors_over_first_half_blocks(key, blocks, reference_pub):
         assert d(a | b) * d(set()) % M == d(a) * d(b) % M, (a, b)
 
 
+def test_digest_factors_over_paired_blocks():
+    # Paired layout, for a reform profile (n = 2m): the first-half layout's
+    # fixed 1-bits (0, each block's first position, n/2 - 1) and their
+    # partners, and each block's free positions with theirs.  Each free
+    # bit's long shadow depends only on its own block again, so
+    # digest(a, b) = digest(a, 0) * digest(0, b) / digest(0, 0) mod M.
+    pub, _ = initialize(m=16, n=32, P=1 << 16, nbar=32, rng=random.Random(7))
+    n, M, h = pub.n, pub.M, pub.n // 2
+    blocks = [(0, 7), (7, 15)]
+    fixed = {0, h - 1} | {lo for lo, _ in blocks}
+    fixed |= {i + h for i in fixed}
+
+    def d(free):
+        return digest(pub, BitString(sum(1 << (n - 1 - i) for i in fixed | free), n)).value
+
+    rng = random.Random(32)
+    for _ in range(200):
+        a, b = ({j for i in range(lo + 1, hi) for j in (i, i + h) if rng.getrandbits(1)}
+                for lo, hi in blocks)
+        assert d(a | b) * d(set()) % M == d(a) * d(b) % M, (a, b)
+
+
 def test_digest_rejects_bad_messages(toy_pub):
     with pytest.raises(ZeroMessageError):
         digest(toy_pub, BitString.from_string("0" * 8))

@@ -3,12 +3,12 @@ exhaustive toy collisions.
 
 The meet-in-the-middle solver attacks plain subset-sum instances.  The
 whole message space has no split point, but subspaces with 1-bits fixed at
-block starts do: the digest factors over the blocks, so Merkle and
-Hellman's meet-in-the-middle (1981) applies there (ROADMAP item 1; not run
-here).  The birthday harness truncates digests so that collisions are
-reachable at desk scale (a testing aid, not a mode of the hash), and walks a
-Gray code in one process: a one-bit flip moves at most three long shadows,
-so each trial's digest is the last one times at most three small powers.
+block starts do: the digest factors over the blocks (the
+test_digest_factors_over_* tests of tests/test_compress.py), so Merkle and
+Hellman's meet-in-the-middle (1981) applies there.  The birthday harness
+truncates digests so that collisions are reachable at desk scale (a testing
+aid, not a mode of the hash), and tries a grid of variants of one message
+over which the digest factors: a trial is one product of a row and a column term.
 """
 
 from __future__ import annotations
@@ -173,40 +173,64 @@ def birthday_search(pub: PublicParams, mask_bits: int, budget: int, seed: int) -
     """Try nonzero messages until two share a truncated digest.
 
     Digests are truncated to their low mask_bits bits purely so that
-    collisions become reachable in a test run.  The first message, the first
-    nonzero draw of random.Random(seed), is digested whole; the others walk
-    the reflected Gray code over its last min(n, budget.bit_length()) bits,
-    trial t + 1 flipping int bit (t & -t).bit_length() - 1, each digest taken
-    from the last by _flip (Yuval, "How to swindle Rabin", Cryptologia 1979).
-    The zero message is no trial; the one after it is digested whole, as is
-    every message of a key with no inverse table.  The search ends at a
-    collision, after budget trials or once every nonzero message was tried.
+    collisions become reachable in a test run.  The messages are variants of
+    the first nonzero draw of random.Random(seed) (Yuval, "How to swindle
+    Rabin", Cryptologia 1979): a grid of rows by 2**b columns, b =
+    min(mask_bits // 4, w // 2), w = budget.bit_length(), so that the 2**b
+    column flips balance about trials / 2**b row flips.  Int bits 0 and b + 1
+    are set, column c xors its Gray code into int bits 1..b and row r its own
+    into the bits from b + 2.  As w + 2 <= n/2, no partner of a bit below
+    w + 2 lies below w + 2 and each long shadow moves with the row or the
+    column alone: D(r, c) = D(r, 0) * Y_c, Y_c = D(0, c) / D(0, 0).  Row heads
+    and the Y_c (from 1) come by _flip, every other cell is one product.
+    Where the grid does not fit, or the key has no inverse table, b = 0: rows
+    over the last min(n, w) bits, the zero message no trial and the one after
+    it (as every message of a key with no inverse table) digested whole.  The
+    search ends at a collision, after budget trials or once every nonzero
+    message was tried.
     """
     check_birthday(pub, mask_bits, budget)
-    n = pub.n
+    n, M = pub.n, pub.M
     mask = (1 << mask_bits) - 1
     ctx = pub.context()
     flips = _inverse_table(pub) is not None
-    seen: dict[int, int] = {}
-    threshold = BIRTHDAY_COEFFICIENT * 2 ** (mask_bits / 2)
-    start = next(random_messages(seed, n, 1))
-    v = d = trials = 0  # v is 0 before the first message and after the zero one
-    for t in range(1 << min(n, budget.bit_length())):
-        u = start ^ t ^ t >> 1
-        if not u:
-            v = 0
-            continue
-        if v and flips:
-            v, d = _flip(pub, ctx, v, d, (t & -t).bit_length() - 1)
-        else:
-            v, d = u, digest(pub, _drawn(u, n), ctx).value
-        trials += 1
-        if seen.setdefault(d & mask, v) != v:
-            pair = (BitString.from_int(seen[d & mask], n), BitString.from_int(v, n))
-            return BirthdayStats(trials, pair, threshold, seed, mask_bits, d & mask)
-        if trials == budget:
+    w = budget.bit_length()
+    b = min(mask_bits // 4, w // 2) if flips and w + 2 <= n // 2 else 0
+    low, cols = b + 2 if b else 0, (1 << b) - 1  # the lowest row bit, the column mask
+    start = next(random_messages(seed, n, 1)) | (1 | 1 << b + 1 if b else 0)
+    Y, x = [1], start
+    for c in range(1, cols + 1):
+        x, y = _flip(pub, ctx, x, Y[-1], (c & -c).bit_length())
+        Y.append(y)
+    seen: dict[int, int] = {}  # truncated digest -> trial index r << b | c
+    v = d = trials = heads = 0  # v is 0 before the first message and after the zero one
+    try:
+        for r in range(1 << min(n - low, w - b)):
+            u = start ^ (r ^ r >> 1) << low
+            if not u:
+                v = 0
+                continue
+            if v and flips:
+                v, d = _flip(pub, ctx, v, d, low + (r & -r).bit_length() - 1)
+            else:
+                v, d = u, digest(pub, _drawn(u, n), ctx).value
+            heads += 1
+            for t, y in enumerate(Y, r << b):
+                trials += 1
+                e = (d * y % M if t & cols else d) & mask
+                if seen.setdefault(e, t) != t or trials == budget:
+                    break
+            else:
+                continue
             break
-    return BirthdayStats(trials, None, threshold, seed, mask_bits)
+    finally:
+        ctx._tick(trials - heads)  # one product a cell, bar the heads
+    threshold = BIRTHDAY_COEFFICIENT * 2 ** (mask_bits / 2)
+    if seen[e] == t:
+        return BirthdayStats(trials, None, threshold, seed, mask_bits)
+    grid = ((i & cols, i >> b) for i in (seen[e], t))
+    pair = tuple(BitString.from_int(start ^ (c ^ c >> 1) << 1 ^ (r ^ r >> 1) << low, n) for c, r in grid)
+    return BirthdayStats(trials, pair, threshold, seed, mask_bits, e)
 
 
 class CollisionPair(namedtuple("CollisionPair", "msg1 msg2 digest_value ydiff product_is_one")):

@@ -2,10 +2,11 @@
 
 Exhaustive subset-sum search is the oracle for the meet-in-the-middle
 solver: it enumerates assignments with bound pruning and shares no code
-with the sorted-table split of juna.attacks.mitm_subset_sum.  The Gray
-walk that digests every message whole is the oracle for the birthday
-search, which takes each digest from the last.  The knapsack
-density is the figure README quotes for the additive problem.
+with the sorted-table split of juna.attacks.mitm_subset_sum.  The same
+grid of Gray codes, each message built by closed form and digested whole,
+is the oracle for the birthday search, which takes each digest from a
+row's term and a column's.  The knapsack density is the figure README
+quotes for the additive problem.
 """
 
 import random
@@ -75,26 +76,61 @@ def brute_force_solve(
 
 
 
-def birthday_search_serial(pub, mask_bits: int, budget: int, seed: int) -> BirthdayStats:
-    """juna.attacks.birthday_search with every message digested whole: the
-    first nonzero draw of random.Random(seed) xor each Gray code t ^ (t >> 1)
-    in turn, the zero message skipped, until a collision, budget trials or
-    the end of the n-bit space."""
-    check_birthday(pub, mask_bits, budget)
+def grid_bits(pub, mask_bits: int, budget: int) -> int:
+    """The column bits b of juna.attacks.birthday_search's grid: about a
+    quarter of the log of the trials expected, min(mask_bits / 2, w) with w =
+    budget.bit_length(), so that 2**b column flips balance about
+    trials / 2**b row flips; 0 where the window of int bits below w + 2 is
+    wider than n/2 - 2 bits or the initial values multiply to 0 mod M (no
+    inverses, so no flips)."""
+    w = budget.bit_length()
+    product = 1
+    for c in pub.C:
+        product = product * c % pub.M
+    if w + 2 > pub.n // 2 or product == 0:
+        return 0
+    return min(mask_bits // 4, w // 2)
+
+
+def search_messages(pub, mask_bits: int, budget: int, seed: int):
+    """(row, column, message) of each message juna.attacks.birthday_search
+    tries, in order, the message as an int; the search stops it.
+
+    With b = grid_bits(...) > 0: the first nonzero draw of
+    random.Random(seed) with int bits 0 and b + 1 set, xor the Gray code of
+    the column shifted to int bit 1 and that of the row shifted to int bit
+    b + 2, row by row.  With b = 0: the draw xor each Gray code t ^ (t >> 1),
+    the zero message skipped, to the end of the n-bit space."""
     n = pub.n
-    mask = (1 << mask_bits) - 1
     rng = random.Random(seed)
-    seen: dict[int, int] = {}
-    threshold = BIRTHDAY_COEFFICIENT * 2 ** (mask_bits / 2)
     start = 0
     while start == 0:
         start = rng.getrandbits(n)
+    b = grid_bits(pub, mask_bits, budget)
+    if b:
+        start |= 1 | 1 << (b + 1)
 
-    trials = 0
+    def gray(i):
+        return i ^ (i >> 1)
+
     for t in range(1 << n):
-        v = start ^ t ^ (t >> 1)
-        if v == 0:
-            continue
+        row, column = divmod(t, 1 << b)
+        v = start ^ (gray(column) << 1 if b else 0) ^ gray(row) << (b + 2 if b else 0)
+        if v:
+            yield row, column, v
+
+
+def birthday_search_serial(pub, mask_bits: int, budget: int, seed: int) -> BirthdayStats:
+    """juna.attacks.birthday_search with every message of search_messages
+    digested whole, until a collision, budget trials or the end of the n-bit
+    space."""
+    check_birthday(pub, mask_bits, budget)
+    n = pub.n
+    mask = (1 << mask_bits) - 1
+    seen: dict[int, int] = {}
+    threshold = BIRTHDAY_COEFFICIENT * 2 ** (mask_bits / 2)
+    trials = 0
+    for _, _, v in search_messages(pub, mask_bits, budget, seed):
         trials += 1
         msg = BitString.from_int(v, n)
         value = digest(pub, msg).value & mask

@@ -18,13 +18,19 @@ from juna.attacks import (
     mitm_subset_sum,
     parse_instance,
 )
-from juna.bitcodec import BitString, random_messages
+from juna.bitcodec import BitString
 from juna.compress import digest
 from juna.errors import DomainError, InstanceTooLargeError, JunaError, ParseError
 from juna.keyfile import PublicParams, bundled_public_params
 from juna.numtheory import pow_muls
 
-from attacks_oracle import assp_density, birthday_search_serial, brute_force_solve
+from attacks_oracle import (
+    assp_density,
+    birthday_search_serial,
+    brute_force_solve,
+    grid_bits,
+    search_messages,
+)
 from shadow_oracle import dense_long_shadows
 
 
@@ -169,8 +175,9 @@ def test_birthday_full_width_at_toy_scale(toy_pub):
     assert digest(toy_pub, m1).value == digest(toy_pub, m2).value
 
 
-# The birthday search walks a Gray code, each digest from the last by
-# attacks._flip; the oracle walks the same messages and digests each whole.
+# The birthday search tries a grid of Gray codes: row heads and column ratios
+# by attacks._flip, each other cell one product of the two; the oracle builds
+# the same messages by closed form and digests each whole.
 
 
 def _counted(search, pub, *args):
@@ -190,14 +197,6 @@ def _flip_cost(v, w, n):
     levels = sorted({abs(c) for c in changes}, reverse=True)
     gaps = sum(pow_muls(e - below) for e, below in zip(levels, levels[1:] + [0]))
     return changes, len(changes) + len(levels) - 1 + gaps
-
-
-def _walk_messages(pub, seed, trials):
-    """The first `trials` messages birthday_search tries, by the closed-form
-    Gray code from its first draw."""
-    start = next(random_messages(seed, pub.n, 1))
-    walk = (start ^ t ^ t >> 1 for t in range(1 << pub.n))
-    return list(islice((v for v in walk if v), trials))
 
 
 def _logged_calls(monkeypatch):
@@ -304,13 +303,53 @@ def test_walk_is_the_whole_digest_walk_at_8_to_20_bits(reference_pub):
 def test_walk_spends_its_budget_as_the_whole_digest_walk(
     reference_pub, monkeypatch, budget, mask_bits
 ):
-    # no collision at 30 or 80 bits: one whole digest, then budget - 1 flips
+    # no collision at 30 or 80 bits: 2**b - 1 column flips, one whole digest,
+    # then one flip a further row, ceil(budget / 2**b) rows (b = 0, 3, 4)
     calls = _logged_calls(monkeypatch)
     args = (mask_bits, budget, 7)
     got = birthday_search(reference_pub, *args)
     assert got.collision is None and got.trials == budget
     assert got == birthday_search_serial(reference_pub, *args)
-    assert [name for name, _ in calls] == ["digest"] + ["_flip"] * (budget - 1)
+    b = grid_bits(reference_pub, *args[:2])
+    rows = -(-budget // (1 << b))
+    assert [name for name, _ in calls] == ["_flip"] * ((1 << b) - 1) + ["digest"] + ["_flip"] * (rows - 1)
+
+
+@pytest.mark.parametrize(
+    "key, mask_bits, budget, b",
+    [
+        ("bundled", 20, 1 << 16, 5),  # the benchmark's birthday-20
+        ("bundled", 80, (1 << 10) - 1, 5),  # b <= w // 2
+        ("bundled", 20, (1 << 126) - 1, 5),  # w + 2 = n/2: the window fits
+        ("bundled", 20, 1 << 126, 0),  # w + 2 = n/2 + 1: it does not
+        ("bundled", 3, 1 << 16, 0),  # mask_bits // 4 = 0
+        ("bundled", 20, 1, 0),  # w // 2 = 0
+        ("mid", 16, 5000, 4),  # acceptance criterion 8
+        ("mid", 20, (1 << 14) - 1, 5),  # w + 2 = n/2 at n = 32
+        ("mid", 20, 1 << 14, 0),
+        ("no_inverses", 20, 1 << 16, 0),  # T = prod C_i = 0 mod M
+    ],
+    ids=lambda x: f"w{x.bit_length()}" if isinstance(x, int) and x > 1 << 32 else None,
+)
+def test_grid_is_chosen_where_the_window_fits_and_inverses_exist(
+    key, mask_bits, budget, b, reference_pub, mid_pub, monkeypatch
+):
+    # 2**b - 1 column flips come before the first whole digest; b = 0 is the
+    # plain walk, one whole digest and then one flip a trial
+    if key == "no_inverses":  # position 4, int bit 251, is 0 in seed 4's draw
+        pub = reference_pub._replace(C=reference_pub.C[:4] + (reference_pub.M,) + reference_pub.C[5:])
+    else:
+        pub = reference_pub if key == "bundled" else mid_pub
+    assert grid_bits(pub, mask_bits, budget) == b
+    calls = _logged_calls(monkeypatch)
+    got = birthday_search(pub, mask_bits, budget, 4)
+    assert got == birthday_search_serial(pub, mask_bits, budget, 4)
+    names = [name for name, _ in calls]
+    assert names.index("digest") == (1 << b) - 1
+    if key == "no_inverses":
+        assert names == ["digest"] * got.trials
+    elif not b:
+        assert names == ["digest"] + ["_flip"] * (got.trials - 1)
 
 
 @pytest.mark.parametrize("end", ["collision", "budget", "error"])
@@ -348,20 +387,25 @@ def test_toy_walk_tries_each_nonzero_message_once(reference_pub, monkeypatch, bu
 
 
 def test_walk_counts_each_trial_through_the_key_context(mid_pub, reference_pub):
-    # the first message's whole digest, then each flip's grouped_pow and
-    # mod_mul, all on the key's context: at most 2n a trial
+    # the first message's whole digest, each column and row flip's grouped_pow
+    # and mod_mul, and one product a cell off column 0, all on the key's
+    # context: at most 2n a trial
     for pub, mask_bits, budget in (
         (mid_pub, 16, 5000),  # acceptance criterion 8's searches
-        (mid_pub, 20, 1 << 16),
+        (mid_pub, 20, 1 << 16),  # the window does not fit: the plain walk
         (reference_pub, 17, 1 << 16),
         (reference_pub, 30, 400),
     ):
         args = (mask_bits, budget, 3)
         got, muls = _counted(birthday_search, pub, *args)
         assert got == birthday_search_serial(pub, *args)
-        walk = _walk_messages(pub, 3, got.trials)
-        first = _counted(digest, pub, BitString(walk[0], pub.n))[1]
-        assert muls == first + sum(_flip_cost(v, w, pub.n)[1] for v, w in zip(walk, walk[1:]))
+        b = grid_bits(pub, mask_bits, budget)
+        cells = list(islice(search_messages(pub, *args), max(got.trials, 1 << b)))
+        first_row = [v for r, _, v in cells if r == 0]
+        heads = [v for _, c, v in cells[: got.trials] if c == 0]
+        first = _counted(digest, pub, BitString(cells[0][2], pub.n))[1]
+        flips = sum(_flip_cost(v, w, pub.n)[1] for walk in (first_row, heads) for v, w in zip(walk, walk[1:]))
+        assert muls == first + flips + got.trials - len(heads)
         assert muls <= 2 * pub.n * got.trials
 
 

@@ -525,9 +525,9 @@ def test_forked_keygen_leaves_stdout_alone(keygen_4096, tmp_path):
     assert not {m for m in imported if m.split(".")[0] in ("multiprocessing", "concurrent")}
 
 
-# stdout of the Gray-walk birthday search, the pair and value as the
-# whole-digest walk of tests/attacks_oracle.py finds them
-BIRTHDAY_20_SHA256 = "4f7754efdb020b6cf87bc937ebe65bc33f9372462a98c67996f614c6def1a288"
+# stdout of the grid birthday search, the pair and value as the
+# whole-digest grid of tests/attacks_oracle.py finds them
+BIRTHDAY_20_SHA256 = "d6860e4edd752edc056be167c1b09350b957ac2455a467a0d247ea9ecad4a846"
 
 
 def test_birthday_search_output_is_pinned():
@@ -542,7 +542,7 @@ def test_birthday_search_output_is_pinned():
         capture_output=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert b"trials=1745\n" in proc.stdout and b"truncated_value=162487\n" in proc.stdout
+    assert b"trials=1081\n" in proc.stdout and b"truncated_value=223134\n" in proc.stdout
     assert hashlib.sha256(proc.stdout).hexdigest() == BIRTHDAY_20_SHA256
 
 

@@ -12,7 +12,7 @@ from juna.errors import (
     LengthMismatchError,
     ZeroMessageError,
 )
-from juna.keyfile import PublicParams, load
+from juna.keyfile import PublicParams, bundled_public_params, load
 from juna.params import initialize
 
 from compress_oracle import digest_oracle
@@ -294,6 +294,41 @@ def test_digest_factors_over_paired_blocks():
         a, b = ({j for i in range(lo + 1, hi) for j in (i, i + h) if rng.getrandbits(1)}
                 for lo, hi in blocks)
         assert d(a | b) * d(set()) % M == d(a) * d(b) % M, (a, b)
+
+
+@st.composite
+def _tail_case(draw):
+    """A random key at even n and a tail layout in int bits (bit j at
+    position n - 1 - j): 1-bits at 0 and b + 1, b column bits 1..b, a row
+    bits from b + 2, a + b + 2 <= n/2; the start is uniform or has 1-bits in
+    the window only, and x and z are a column and a row change."""
+    n = 2 * draw(st.integers(2, 79))
+    b = draw(st.integers(0, n // 2 - 2))
+    a = draw(st.integers(0, n // 2 - 2 - b))
+    start = draw(st.integers(0, (1 << n) - 1))
+    if draw(st.booleans()):
+        start &= (1 << a + b + 2) - 1
+    x = draw(st.integers(0, (1 << b) - 1)) << 1
+    z = draw(st.integers(0, (1 << a) - 1)) << b + 2
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    M = bundled_public_params().M
+    pub = PublicParams(m=80, n=n, M=M, C=tuple(rng.randrange(1, M) for _ in range(n)))
+    return pub, start | 1 | 1 << b + 1, x, z
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tail_case())
+def test_digest_factors_over_tail_blocks(case):
+    # Tail layout, the birthday search's grid: with 1-bits fixed at int bits
+    # 0 and b + 1 and no partner of a window bit inside the window, each long
+    # shadow depends on the column bits alone, on the row bits alone or on
+    # neither, so D(x, z) * D(0, 0) = D(x, 0) * D(0, z) mod M
+    pub, v, x, z = case
+
+    def d(u):
+        return digest(pub, BitString(u, pub.n)).value
+
+    assert d(v ^ x ^ z) * d(v) % pub.M == d(v ^ x) * d(v ^ z) % pub.M
 
 
 def test_digest_rejects_bad_messages(toy_pub):
